@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .curvature import curvature_step_scales
 from .graphs import build_graph
@@ -103,18 +104,16 @@ def _cmd_solve(args):
         "success": res.success,
         "wall_time": res.wall_time,
         "energy_increase_events": res.energy_increase_events,
+        "guard_triggers": res.guard_triggers,
+        "sweeps_evaluated": res.sweeps_evaluated,
         "diverged": res.diverged,
-        "violations": {
-            "phi_mean": res.violations.phi_mean,
-            "psi_mean": res.violations.psi_mean,
-            "combined": res.violations.combined,
-        },
+        "violations": asdict(res.violations),
     }
     if args.dump_curvature:
         graph = build_graph(res.final_states)
         payload["curvature"] = curvature_step_scales(graph).to_json_dict()
-    json.dump(payload, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # serialised whole before writing, so a non-finite value prints nothing
+    sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return FAILED_RUNS_EXIT if res.diverged else 0
 
 

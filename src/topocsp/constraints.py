@@ -8,10 +8,15 @@ Three families act on the node states:
 Positions are the first 3 components of the bound block. Energy is the
 weighted sum of the family losses; each family may be normalized by its
 constraint count (MSE) or left as a raw sum (SSE).
+
+The losses and the gradient take one (n, 64) state array or a batch
+(P, n, 64) of them, each batch row with its own weights. A batch row gives
+the same floats, bit for bit, as the single-state call on that row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,11 +36,6 @@ def position_of(state):
     return np.asarray(state, dtype=float)[:POSITION_DIM]
 
 
-def positions(states):
-    """(n, 3) position block of a state matrix."""
-    return np.asarray(states, dtype=float)[:, :POSITION_DIM]
-
-
 @dataclass
 class LossWeights:
     """Weights for the three constraint families."""
@@ -51,6 +51,15 @@ class LossWeights:
 
     def as_array(self):
         return np.array([self.data, self.phys, self.logic])
+
+
+def weight_rows(weights, p):
+    """(p, 3) family weights from one LossWeights or from rows of weights."""
+    w = weights.as_array() if isinstance(weights, LossWeights) else weights
+    w = np.asarray(w, dtype=float)
+    if w.shape == (p, 3):
+        return w
+    return w.reshape(1, 3) if p == 1 else np.broadcast_to(w, (p, 3))
 
 
 DEFAULT_WEIGHTS = LossWeights(1.0, 10.0, 2.0)
@@ -117,13 +126,37 @@ class ConstraintSet:
             raise ConstraintError("anchor reference shape mismatch")
         if np.any(self.sep_a == self.sep_b) or np.any(self.ord_a == self.ord_b):
             raise ConstraintError("constraints must relate two distinct nodes")
-        if self.sep_dist.size and np.any(self.sep_dist <= 0):
+        for name, vals in (("anchor references", self.anchor_refs),
+                           ("min_dist", self.sep_dist),
+                           ("ordering margin", self.ord_margin)):
+            if not np.all(np.isfinite(vals)):
+                raise ConstraintError(f"{name} must be finite")
+        if np.any(self.sep_dist <= 0):
             raise ConstraintError("min_dist must be positive")
-        if self.ord_margin.size and np.any(self.ord_margin < 0):
+        if np.any(self.ord_margin < 0):
             raise ConstraintError("ordering margin must be non-negative")
         if self.ord_axis.size and (np.any(self.ord_axis < 0)
                                    or np.any(self.ord_axis >= POSITION_DIM)):
             raise ConstraintError("ordering axis must be in {0, 1, 2}")
+
+    @cached_property
+    def _anchor_cells(self):
+        """Flat (node, component) cells of the anchored states, (A * 64,)."""
+        return (self.anchor_ids[:, None] * STATE_DIM
+                + np.arange(STATE_DIM)).ravel()
+
+    @cached_property
+    def _separation_cells(self):
+        """Flat cells of the pair positions: (a ends (S, 3), b ends (S, 3))."""
+        pos = np.arange(POSITION_DIM)
+        return (self.sep_a[:, None] * STATE_DIM + pos,
+                self.sep_b[:, None] * STATE_DIM + pos)
+
+    @cached_property
+    def _ordering_cells(self):
+        """Flat cells of the ordered coordinates: (cells of a, cells of b)."""
+        return (self.ord_a * STATE_DIM + self.ord_axis,
+                self.ord_b * STATE_DIM + self.ord_axis)
 
     @property
     def n_separations(self):
@@ -158,51 +191,77 @@ class LossBreakdown:
         return np.array([self.l_data, self.l_phys, self.l_logic])
 
 
-def _separation_residuals(states, cs):
-    """Penetration depth phi = max(0, min_dist - |pos(a) - pos(b)|) per pair."""
-    if cs.n_separations == 0:
-        return np.empty(0), np.empty((0, POSITION_DIM)), np.empty(0)
-    p = positions(states)
-    diff = p[cs.sep_a] - p[cs.sep_b]
-    dist = np.linalg.norm(diff, axis=1)
+def _batch(states, cs):
+    """(P, n, 64) C-contiguous float view of a state array or batch, and
+    whether the input was a single (n, 64) array."""
+    s = np.ascontiguousarray(states, dtype=float)
+    single = s.ndim == 2
+    if single:
+        s = s[None]
+    if s.ndim != 3 or s.shape[1:] != (cs.n_nodes, STATE_DIM):
+        raise ConstraintError(
+            f"states must be ({cs.n_nodes}, {STATE_DIM}) or a batch of them, "
+            f"got {np.shape(states)}")
+    return s, single
+
+
+def row_sums(x):
+    """Sum of each batch row; x must be C-contiguous, so that every row is
+    summed pairwise exactly as np.sum sums the single-state array."""
+    return x.reshape(x.shape[0], -1).sum(axis=1)
+
+
+def row_norms(x):
+    """Euclidean norms along the last axis, the same floats as
+    np.linalg.norm(x, axis=-1) at less call overhead."""
+    return np.sqrt((x * x).sum(axis=-1))
+
+
+def _separation_residuals(flat, cs):
+    """Penetration depth phi = max(0, min_dist - |pos(a) - pos(b)|) per pair.
+
+    flat is a (P, n * 64) batch; returns phi (P, S), diff (P, S, 3) and
+    dist (P, S).
+    """
+    cells_a, cells_b = cs._separation_cells
+    diff = flat.take(cells_a, axis=1) - flat.take(cells_b, axis=1)
+    dist = row_norms(diff)
     phi = np.maximum(0.0, cs.sep_dist - dist)
     return phi, diff, dist
 
 
-def _ordering_residuals(states, cs):
-    """Violation psi = max(0, pos(a)[axis] - pos(b)[axis] + margin) per pair."""
-    if cs.n_orderings == 0:
-        return np.empty(0)
-    p = positions(states)
-    gap = p[cs.ord_a, cs.ord_axis] - p[cs.ord_b, cs.ord_axis] + cs.ord_margin
-    return np.maximum(0.0, gap)
+def _ordering_residuals(flat, cs):
+    """Violation psi = max(0, pos(a)[axis] - pos(b)[axis] + margin), (P, O)."""
+    cells_a, cells_b = cs._ordering_cells
+    gap = flat.take(cells_a, axis=1) - flat.take(cells_b, axis=1)
+    return np.maximum(0.0, gap + cs.ord_margin)
 
 
 def loss_components(states, cs, norm=MSE, weights=None):
     """Family losses and weighted total.
 
     With weights=None the total is the plain sum of the three family losses.
+    For a batch the fields are (P,) arrays and weights may be (P, 3) rows.
     """
-    states = np.asarray(states, dtype=float)
-    if states.shape != (cs.n_nodes, STATE_DIM):
-        raise ConstraintError(
-            f"states must be ({cs.n_nodes}, {STATE_DIM}), got {states.shape}")
+    s, single = _batch(states, cs)
+    flat = s.reshape(s.shape[0], -1)
     d_data, d_phys, d_logic = cs.divisors(norm)
 
-    if cs.anchor_ids.size:
-        resid = states[cs.anchor_ids] - cs.anchor_refs
-        l_data = float(np.sum(resid * resid)) / d_data
-    else:
-        l_data = 0.0
-    phi, _, _ = _separation_residuals(states, cs)
-    l_phys = float(np.sum(phi * phi)) / d_phys
-    psi = _ordering_residuals(states, cs)
-    l_logic = float(np.sum(psi * psi)) / d_logic
+    resid = flat.take(cs._anchor_cells, axis=1) - cs.anchor_refs.ravel()
+    l_data = row_sums(resid * resid) / d_data
+    phi, _, _ = _separation_residuals(flat, cs)
+    l_phys = row_sums(phi * phi) / d_phys
+    psi = _ordering_residuals(flat, cs)
+    l_logic = row_sums(psi * psi) / d_logic
 
     if weights is None:
         total = l_data + l_phys + l_logic
     else:
-        total = weights.data * l_data + weights.phys * l_phys + weights.logic * l_logic
+        w = weight_rows(weights, s.shape[0])
+        total = w[:, 0] * l_data + w[:, 1] * l_phys + w[:, 2] * l_logic
+    if single:
+        return LossBreakdown(float(l_data[0]), float(l_phys[0]),
+                             float(l_logic[0]), float(total[0]), norm)
     return LossBreakdown(l_data, l_phys, l_logic, total, norm)
 
 
@@ -212,45 +271,56 @@ def total_energy(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
 
 
 def loss_gradient(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
-    """Analytic gradient of total_energy, shape (n, 64).
+    """Analytic gradient of total_energy, shaped like states.
 
     Hinge terms contribute zero exactly at their kink (subgradient choice);
     the separation direction is zeroed when the pair distance is below 1e-12.
+    All terms go through one bincount in a fixed order (anchors, separation
+    a ends, separation b ends, ordering a ends, ordering b ends), so each
+    cell sums its terms in the same order whatever the batch size.
     """
-    states = np.asarray(states, dtype=float)
-    if states.shape != (cs.n_nodes, STATE_DIM):
-        raise ConstraintError(
-            f"states must be ({cs.n_nodes}, {STATE_DIM}), got {states.shape}")
+    s, single = _batch(states, cs)
+    p_count = s.shape[0]
+    flat = s.reshape(p_count, -1)
+    size = flat.shape[1]
+    w = weight_rows(weights, p_count)
     d_data, d_phys, d_logic = cs.divisors(norm)
-    grad = np.zeros_like(states)
+    cells, terms = [], []
 
     if cs.anchor_ids.size:
-        resid = states[cs.anchor_ids] - cs.anchor_refs
-        np.add.at(grad, cs.anchor_ids, (2.0 * weights.data / d_data) * resid)
+        resid = flat.take(cs._anchor_cells, axis=1) - cs.anchor_refs.ravel()
+        coef = 2.0 * w[:, 0] / d_data
+        cells.append((np.arange(0, p_count * size, size)[:, None]
+                      + cs._anchor_cells).ravel())
+        terms.append((coef[:, None] * resid).ravel())
 
-    phi, diff, dist = _separation_residuals(states, cs)
-    if phi.size:
-        # d(phi^2)/d pos(a) = -2 phi * (pos(a)-pos(b))/dist, active when phi > 0
-        active = (phi > 0.0) & (dist > _DIST_FLOOR)
-        if np.any(active):
-            coef = (-2.0 * weights.phys / d_phys) * phi[active] / dist[active]
-            g = coef[:, None] * diff[active]
-            pa = cs.sep_a[active]
-            pb = cs.sep_b[active]
-            np.add.at(grad[:, :POSITION_DIM], pa, g)
-            np.add.at(grad[:, :POSITION_DIM], pb, -g)
+    phi, diff, dist = _separation_residuals(flat, cs)
+    # d(phi^2)/d pos(a) = -2 phi * (pos(a)-pos(b))/dist, active when phi > 0
+    rows, pairs = np.nonzero((phi > 0.0) & (dist > _DIST_FLOOR))
+    if rows.size:
+        coef = ((-2.0 * w[rows, 1] / d_phys) * phi[rows, pairs]
+                / dist[rows, pairs])
+        g = coef[:, None] * diff[rows, pairs]
+        offset = (rows * size)[:, None]
+        for ends, sign in zip(cs._separation_cells, (g, -g)):
+            cells.append((offset + ends[pairs]).ravel())
+            terms.append(sign.ravel())
 
-    psi = _ordering_residuals(states, cs)
-    if psi.size:
-        active = psi > 0.0
-        if np.any(active):
-            coef = (2.0 * weights.logic / d_logic) * psi[active]
-            oa = cs.ord_a[active]
-            ob = cs.ord_b[active]
-            ax = cs.ord_axis[active]
-            np.add.at(grad, (oa, ax), coef)
-            np.add.at(grad, (ob, ax), -coef)
-    return grad
+    psi = _ordering_residuals(flat, cs)
+    rows, pairs = np.nonzero(psi > 0.0)
+    if rows.size:
+        coef = (2.0 * w[rows, 2] / d_logic) * psi[rows, pairs]
+        offset = rows * size
+        for ends, sign in zip(cs._ordering_cells, (coef, -coef)):
+            cells.append(offset + ends[pairs])
+            terms.append(sign)
+
+    if cells:
+        grad = np.bincount(np.concatenate(cells), np.concatenate(terms),
+                           minlength=p_count * size).reshape(s.shape)
+    else:
+        grad = np.zeros(s.shape)
+    return grad[0] if single else grad
 
 
 @dataclass
@@ -265,9 +335,11 @@ class ViolationStats:
 
 
 def violation_stats(states, cs):
-    """Mean and max residuals over the inequality families."""
-    phi, _, _ = _separation_residuals(states, cs)
-    psi = _ordering_residuals(states, cs)
+    """Mean and max residuals over the inequality families at one state."""
+    s, _ = _batch(states, cs)
+    flat = s.reshape(1, -1)
+    phi = _separation_residuals(flat, cs)[0][0]
+    psi = _ordering_residuals(flat, cs)[0]
     phi_mean = float(phi.mean()) if phi.size else 0.0
     psi_mean = float(psi.mean()) if psi.size else 0.0
     total = phi.size + psi.size

@@ -7,7 +7,8 @@ For an edge e = (u, v) with weight w(e):
 where e' ~ e ranges over edges sharing exactly one endpoint with e. Positive
 curvature marks dense neighborhoods, negative curvature marks bottlenecks.
 Per-node step scales shrink steps in positive-curvature regions and enlarge
-them in negative ones.
+them in negative ones. A batched graph gets one curvature row and one
+step-scale row per batch row.
 """
 from __future__ import annotations
 
@@ -22,21 +23,35 @@ ETA_MIN = 0.25
 ETA_MAX = 2.0
 
 
-def all_edge_curvatures(graph):
-    """Curvature of every edge, as a (E,) array aligned with graph.edges."""
-    edges = graph.edges
+def _node_sums(edges, values, n):
+    """Per-node sums of per-edge values (..., E) over incident edges, (..., n).
+
+    Each node adds its terms in edge order, first as the u end and then as
+    the v end, in one bincount over all batch rows.
+    """
+    lead = values.shape[:-1]
     if edges.shape[0] == 0:
-        return np.empty(0)
+        return np.zeros(lead + (n,))
+    rows = int(np.prod(lead))
+    nodes = np.arange(rows)[:, None] * n + edges.T.ravel()
+    both = np.concatenate([values, values], axis=-1)
+    return np.bincount(nodes.ravel(), both.ravel(),
+                       minlength=rows * n).reshape(lead + (n,))
+
+
+def all_edge_curvatures(graph):
+    """Curvature of every edge, (..., E), aligned with graph.edges."""
+    edges = graph.edges
     w = graph.weights
+    if edges.shape[0] == 0:
+        return np.empty(w.shape)
     deg = graph.degrees().astype(float)
     # sum of incident weights per node; edges adjacent to e=(u,v) are the
     # incident edges of u and v minus e itself at each endpoint
-    wsum = np.zeros(graph.n_nodes)
-    np.add.at(wsum, edges[:, 0], w)
-    np.add.at(wsum, edges[:, 1], w)
+    wsum = _node_sums(edges, w, graph.n_nodes)
     du = deg[edges[:, 0]]
     dv = deg[edges[:, 1]]
-    adj = (wsum[edges[:, 0]] - w) + (wsum[edges[:, 1]] - w)
+    adj = (wsum[..., edges[:, 0]] - w) + (wsum[..., edges[:, 1]] - w)
     return w * (1.0 / du + 1.0 / dv - adj / np.sqrt(du * dv))
 
 
@@ -51,18 +66,13 @@ def node_step_scales(graph, gamma=GAMMA, eta_min=ETA_MIN, eta_max=ETA_MAX):
     """Per-node step multipliers eta_v = clamp(exp(-gamma * mean kappa), lo, hi).
 
     The mean runs over edges incident to v; isolated nodes get mean 0 and a
-    neutral scale of 1.
+    neutral scale of 1. Both results are (..., n), one row per batch row.
     """
     kappa = all_edge_curvatures(graph)
     n = graph.n_nodes
-    acc = np.zeros(n)
-    cnt = np.zeros(n)
-    if kappa.size:
-        np.add.at(acc, graph.edges[:, 0], kappa)
-        np.add.at(acc, graph.edges[:, 1], kappa)
-        np.add.at(cnt, graph.edges[:, 0], 1.0)
-        np.add.at(cnt, graph.edges[:, 1], 1.0)
-    mean = np.divide(acc, cnt, out=np.zeros(n), where=cnt > 0)
+    cnt = graph.degrees().astype(float)
+    acc = _node_sums(graph.edges, kappa, n)
+    mean = np.divide(acc, cnt, out=np.zeros(acc.shape), where=cnt > 0)
     return np.clip(np.exp(-gamma * mean), eta_min, eta_max), mean
 
 

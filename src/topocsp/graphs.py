@@ -2,11 +2,14 @@
 
 A node state is a 64-vector split into bound (16), form (32) and intent (16)
 blocks. Edges carry affinity weights derived from cosine similarity of the
-endpoint states, mapped to (0, 1] with a small positive floor.
+endpoint states, mapped to (0, 1] with a small positive floor. The complete
+and explicit topologies also take a batch (P, n, 64) of state arrays: one
+edge list, and one weight row per batch row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,18 +48,20 @@ def edge_weight(s_u, s_v):
 
 
 def pairwise_weights(states):
-    """(n, n) matrix of edge weights for all node pairs, zero diagonal."""
+    """(..., n, n) matrix of edge weights for all node pairs, zero diagonal."""
     states = np.asarray(states, dtype=float)
-    norms = np.linalg.norm(states, axis=1)
+    norms = np.linalg.norm(states, axis=-1)
     safe = np.maximum(norms, _NORM_FLOOR)
-    unit = states / safe[:, None]
-    w = (1.0 + unit @ unit.T) / 2.0
+    unit = states / safe[..., None]
+    w = (1.0 + unit @ np.swapaxes(unit, -1, -2)) / 2.0
     w = np.maximum(w, WEIGHT_FLOOR)
     # degenerate states get the floor against every partner
     bad = norms < _NORM_FLOOR
-    w[bad, :] = WEIGHT_FLOOR
-    w[:, bad] = WEIGHT_FLOOR
-    np.fill_diagonal(w, 0.0)
+    if bad.any():
+        w[bad] = WEIGHT_FLOOR
+        np.swapaxes(w, -1, -2)[bad] = WEIGHT_FLOOR
+    diag = np.arange(w.shape[-1])
+    w[..., diag, diag] = 0.0
     return w
 
 
@@ -64,7 +69,8 @@ def pairwise_weights(states):
 class SemanticGraph:
     """Immutable-by-convention graph: states (n, 64), edges (E, 2), weights (E,).
 
-    Edge rows are (u, v) with u < v, sorted lexicographically.
+    Edge rows are (u, v) with u < v, sorted lexicographically. A batched
+    graph has states (P, n, 64) and weights (P, E) over the one edge list.
     """
 
     states: np.ndarray
@@ -73,7 +79,7 @@ class SemanticGraph:
 
     @property
     def n_nodes(self):
-        return self.states.shape[0]
+        return self.states.shape[-2]
 
     @property
     def n_edges(self):
@@ -81,11 +87,7 @@ class SemanticGraph:
 
     def degrees(self):
         """Unweighted incident-edge count per node."""
-        deg = np.zeros(self.n_nodes, dtype=int)
-        if self.n_edges:
-            np.add.at(deg, self.edges[:, 0], 1)
-            np.add.at(deg, self.edges[:, 1], 1)
-        return deg
+        return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
 
     def edge_index(self, u, v):
         """Row index of edge (u, v) in either orientation."""
@@ -103,14 +105,22 @@ class SemanticGraph:
         states = np.asarray(states, dtype=float)
         if states.shape != self.states.shape:
             raise ValueError("state array shape changed")
-        w = pairwise_weights(states)
-        weights = w[self.edges[:, 0], self.edges[:, 1]] if self.n_edges else np.empty(0)
-        return SemanticGraph(states=states, edges=self.edges, weights=weights)
+        return SemanticGraph(states=states, edges=self.edges,
+                             weights=_edge_weights(states, self.edges))
 
 
+def _edge_weights(states, edges):
+    w = pairwise_weights(states)
+    return w[..., edges[:, 0], edges[:, 1]]
+
+
+@lru_cache(maxsize=None)
 def _complete_edges(n):
+    """Edge list of the complete graph on n nodes, shared read-only."""
     u, v = np.triu_indices(n, k=1)
-    return np.column_stack([u, v]).astype(int)
+    edges = np.column_stack([u, v]).astype(int)
+    edges.flags.writeable = False
+    return edges
 
 
 def _knn_edges(w, k):
@@ -131,12 +141,14 @@ def build_graph(states, topology="complete", k=None, edges=None):
     """Build a SemanticGraph over the given states.
 
     topology is one of "complete" (default), "knn" (requires k), or
-    "explicit" (requires edges, a sequence of (u, v) pairs).
+    "explicit" (requires edges, a sequence of (u, v) pairs). states is one
+    (n, 64) array, or for the complete and explicit topologies a batch
+    (P, n, 64).
     """
     states = np.asarray(states, dtype=float)
-    if states.ndim != 2 or states.shape[1] != STATE_DIM:
-        raise ValueError(f"states must be (n, {STATE_DIM})")
-    n = states.shape[0]
+    if states.ndim not in (2, 3) or states.shape[-1] != STATE_DIM:
+        raise ValueError(f"states must be (n, {STATE_DIM}) or a batch of them")
+    n = states.shape[-2]
     if n < 1:
         raise ValueError("need at least one state")
     if not np.all(np.isfinite(states)):
@@ -147,6 +159,8 @@ def build_graph(states, topology="complete", k=None, edges=None):
     elif topology == "knn":
         if k is None or k < 1:
             raise TopologyError("knn topology requires k >= 1")
+        if states.ndim != 2:
+            raise TopologyError("knn topology takes one state array")
         edge_arr = _knn_edges(pairwise_weights(states), int(k))
     elif topology == "explicit":
         if edges is None:
@@ -164,12 +178,8 @@ def build_graph(states, topology="complete", k=None, edges=None):
     else:
         raise TopologyError(f"unknown topology {topology!r}")
 
-    if edge_arr.shape[0]:
-        w = pairwise_weights(states)
-        weights = w[edge_arr[:, 0], edge_arr[:, 1]]
-    else:
-        weights = np.empty(0)
-    return SemanticGraph(states=states, edges=edge_arr, weights=weights)
+    return SemanticGraph(states=states, edges=edge_arr,
+                         weights=_edge_weights(states, edge_arr))
 
 
 def degree(graph, node):

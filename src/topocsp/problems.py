@@ -49,6 +49,13 @@ class ProblemInstance:
     seed: int | None = None
     config: GeneratorConfig | None = None
 
+    def __post_init__(self):
+        states = np.asarray(self.initial_states, dtype=float)
+        if states.shape != (self.n, STATE_DIM):
+            raise ValueError(f"states must be ({self.n}, {STATE_DIM})")
+        if not np.all(np.isfinite(states)):
+            raise ValueError("states must be finite")
+
     def to_json_dict(self):
         cs = self.constraints
         return {
@@ -66,8 +73,6 @@ class ProblemInstance:
     def from_json_dict(cls, d):
         n = int(d["n"])
         states = np.asarray(d["states"], dtype=float)
-        if states.shape != (n, STATE_DIM):
-            raise ValueError(f"states must be ({n}, {STATE_DIM})")
         cs = ConstraintSet.build(
             n,
             anchors={int(k): np.asarray(v, dtype=float)

@@ -18,6 +18,15 @@ on the estimated minimiser, (0, 2) lowers the energy of a quadratic, and 2
 reflects to the same energy level. Either step is followed by a
 componentwise clip of the state to [-1, 1]. The loop stops when the driving
 energy falls below tau or after t_max iterations.
+
+The loop runs one (n, 64) state array or a batch (P, n, 64) of them, each
+batch row with its own loss weights and beta: one search generation is one
+call. Each row keeps its own course. It stops at tau. It is dropped when
+its energy goes non-finite or its rank-one step meets an overflowed
+gradient. Once a sweep leaves every node of a row below epsilon, the row is
+at a fixed point: it is not swept again, and its remaining trace rows copy
+its last one. Each batch row ends with the same states and trace, bit for
+bit, as the same row run alone.
 """
 from __future__ import annotations
 
@@ -29,7 +38,10 @@ from . import constraints as C
 from .curvature import ETA_MAX, ETA_MIN, GAMMA, node_step_scales
 from .delta import DEFAULT_CLIP, DEFAULT_EPSILON, DeltaParams, delta_step
 from .errors import DivergenceError
-from .graphs import build_graph
+from .graphs import STATE_DIM, build_graph
+
+ROW_FIELDS = ("l_total", "l_data", "l_phys", "l_logic", "grad_max",
+              "grad_mean", "step_mean")
 
 
 @dataclass
@@ -49,7 +61,6 @@ class ProjectionConfig:
     eta_min: float = ETA_MIN
     eta_max: float = ETA_MAX
     topology: str = "complete"
-    record_states: bool = False
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -64,7 +75,13 @@ class ProjectionConfig:
 
 @dataclass
 class ProjectionTrace:
-    """Per-iteration records; losses are measured after each sweep."""
+    """Per-iteration records; losses are measured after each sweep.
+
+    start_states holds each iteration's sweep-start states. sweeps_evaluated
+    counts the sweeps actually computed: rows copied at a fixed point are
+    left out, and a sweep whose rank-one step failed, which leaves no row,
+    is counted. failure says why a run diverged, None when it did not.
+    """
 
     l_total: np.ndarray = field(default_factory=lambda: np.empty(0))
     l_data: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -75,7 +92,10 @@ class ProjectionTrace:
     step_mean: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations_run: int = 0
     converged: bool = False
-    start_states: list = field(default_factory=list)
+    start_states: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0, STATE_DIM)))
+    sweeps_evaluated: int = 0
+    failure: str | None = None
 
     def as_rows(self):
         """Rows (iteration, L_total, L_data, L_phys, L_logic, grad_max, grad_mean)."""
@@ -86,118 +106,171 @@ class ProjectionTrace:
         ]
 
 
-class _TraceBuilder:
-    def __init__(self):
-        self.rows = {k: [] for k in ("l_total", "l_data", "l_phys", "l_logic",
-                                     "grad_max", "grad_mean", "step_mean")}
-        self.start_states = []
-
-    def add(self, **kw):
-        for k, v in kw.items():
-            self.rows[k].append(v)
-
-    def build(self, converged):
-        return ProjectionTrace(
-            **{k: np.array(v) for k, v in self.rows.items()},
-            iterations_run=len(self.rows["l_total"]),
-            converged=converged,
-            start_states=self.start_states,
-        )
+_STEP_FAILED = "rank-one step met an overflowed gradient"
+_ENERGY_FAILED = "energy became non-finite"
 
 
-def sweep_once(states, cs, weights, beta, cfg, stat_weights=None):
+def grad_stats(states, cs, weights, norm):
+    """Max and mean over nodes of the loss-gradient norms, per state array."""
+    norms = C.row_norms(C.loss_gradient(states, cs, weights, norm))
+    return norms.max(axis=-1), norms.sum(axis=-1) / norms.shape[-1]
+
+
+def sweep_once(states, cs, weights, beta, cfg):
     """One Jacobi sweep; returns (new_states, stats dict).
 
-    Exposed separately so update maps can be probed at a frozen state.
-    stat_weights, when given, selects the weighting used for the reported
-    gradient norms; the dynamics always use `weights`. The overall scale of
-    a searched weight vector multiplies the plain step wherever clipping
-    does not bind, so reports stay comparable only under one fixed
-    weighting. Raises DivergenceError when the rank-one step meets an
-    overflowed gradient.
+    Exposed separately so update maps can be probed at a frozen state. The
+    gradient norms in stats are those of the dynamics gradient, under
+    `weights`. On one (n, 64) array, stats holds floats grad_max, grad_mean
+    and step_mean, and an overflowed gradient in the rank-one step raises
+    DivergenceError. On a batch (P, n, 64), with weights (P, 3) or one
+    LossWeights and beta (P,) or one number, stats holds (P,) arrays of
+    those three plus the masks `moved` (some node stepped) and `diverged`
+    (the rank-one step met an overflowed gradient; the row comes back
+    unchanged).
     """
-    states = np.asarray(states, dtype=float)
-    grad = C.loss_gradient(states, cs, weights, cfg.norm)
-    norms = np.linalg.norm(grad, axis=1)
-    if stat_weights is None:
-        stat_norms = norms
-    else:
-        stat_grad = C.loss_gradient(states, cs, stat_weights, cfg.norm)
-        stat_norms = np.linalg.norm(stat_grad, axis=1)
-    stats = {"grad_max": float(stat_norms.max()),
-             "grad_mean": float(stat_norms.mean())}
-
+    s = np.ascontiguousarray(states, dtype=float)
+    single = s.ndim == 2
+    if single:
+        s = s[None]
+    p_count = s.shape[0]
+    w = C.weight_rows(weights, p_count)
+    grad = C.loss_gradient(s, cs, w, cfg.norm)
+    norms = C.row_norms(grad)
     active = norms >= cfg.epsilon
-    if not np.any(active):
-        stats["step_mean"] = 0.0
-        return states.copy(), stats
+    moved = active.any(axis=1)
+    diverged = np.zeros(p_count, dtype=bool)
+    out = s.copy()
 
-    clipped = grad
-    if cfg.grad_clip is not None:
-        scale = np.minimum(1.0, cfg.grad_clip / np.maximum(norms, 1e-300))
-        clipped = grad * scale[:, None]
+    if moved.any():
+        clipped = grad
+        if cfg.grad_clip is not None:
+            scale = np.minimum(1.0, cfg.grad_clip / np.maximum(norms, 1e-300))
+            clipped = grad * scale[..., None]
+        if cfg.use_curvature:
+            graph = build_graph(s, topology=cfg.topology)
+            eta, _ = node_step_scales(graph, cfg.gamma, cfg.eta_min,
+                                      cfg.eta_max)
+        else:
+            eta = np.ones(norms.shape)
+        step = cfg.alpha * eta[..., None] * clipped
+        if cfg.use_delta:
+            t = _secant_length(s, grad, step, cs, w, cfg.norm)
+            target = s - t[:, None, None] * step
+            finite = (np.isfinite(clipped).all(axis=-1)
+                      & np.isfinite(target).all(axis=-1))
+            diverged = (active & ~finite).any(axis=1)
+            rows = active & ~diverged[:, None]
+            betas = np.broadcast_to(np.asarray(beta, dtype=float)[..., None],
+                                    rows.shape)
+            params = DeltaParams(beta=betas[rows], epsilon=cfg.epsilon,
+                                 clip=None)
+            new = delta_step(s[rows], clipped[rows], target[rows], params)
+        else:
+            rows = active
+            new = (s - step)[rows]
+        if cfg.state_clip is not None:
+            np.clip(new, cfg.state_clip[0], cfg.state_clip[1], out=new)
+        out[rows] = new
 
-    if cfg.use_curvature:
-        graph = build_graph(states, topology=cfg.topology)
-        eta, _ = node_step_scales(graph, cfg.gamma, cfg.eta_min, cfg.eta_max)
-    else:
-        eta = np.ones(states.shape[0])
-
-    step = cfg.alpha * eta[:, None] * clipped
-    if cfg.use_delta:
-        t = _secant_length(states, grad, step, cs, weights, cfg.norm)
-        target = states - t * step
-        params = DeltaParams(beta=beta, epsilon=cfg.epsilon, clip=None)
-        try:
-            new = delta_step(states[active], clipped[active], target[active],
-                             params)
-        except ValueError as err:  # an overflowed gradient
-            raise DivergenceError(str(err)) from err
-    else:
-        new = (states - step)[active]
-    if cfg.state_clip is not None:
-        np.clip(new, cfg.state_clip[0], cfg.state_clip[1], out=new)
-
-    out = states.copy()
-    out[active] = new
-    stats["step_mean"] = float(np.linalg.norm(out - states, axis=1).mean())
+    n = s.shape[1]
+    stats = {"grad_max": norms.max(axis=1), "grad_mean": norms.sum(axis=1) / n,
+             "step_mean": C.row_norms(out - s).sum(axis=1) / n}
+    if single:
+        if diverged[0]:
+            raise DivergenceError(_STEP_FAILED)
+        return out[0], {k: float(v[0]) for k, v in stats.items()}
+    stats["moved"] = moved & ~diverged
+    stats["diverged"] = diverged
     return out, stats
 
 
-def _secant_length(states, grad, step, cs, weights, norm):
-    """Secant estimate of the minimiser of the loss along -step.
+def _secant_length(s, grad, step, cs, weights, norm):
+    """Secant estimate of the minimiser of the loss along -step, per row.
 
     t = <g(s), D> / <g(s) - g(s - D), D> for D = step, summed over all
-    nodes; it is exact on a quadratic. A denominator that is not positive
-    gives t = 1, the plain gradient step.
+    nodes of a batch row; it is exact on a quadratic. A denominator that is
+    not positive gives t = 1, the plain gradient step.
     """
-    far = C.loss_gradient(states - step, cs, weights, norm)
-    den = float(np.sum((grad - far) * step))
-    return float(np.sum(grad * step)) / den if den > 0 else 1.0
+    far = C.loss_gradient(s - step, cs, weights, norm)
+    den = C.row_sums((grad - far) * step)
+    num = C.row_sums(grad * step)
+    return np.divide(num, den, out=np.ones_like(den), where=den > 0)
 
 
-def project_states(states, cs, weights, beta, cfg, stat_weights=None):
-    """Run the projection loop; returns (final states, ProjectionTrace).
+def project_states(states, cs, weights, beta, cfg):
+    """Run the projection loop.
 
-    Raises DivergenceError (carrying the partial trace) if the energy goes
-    non-finite mid-run, and passes on the one sweep_once raises.
-    stat_weights is forwarded to sweep_once.
+    On one (n, 64) array with one LossWeights and beta, returns (final
+    states, ProjectionTrace) and raises DivergenceError, carrying the
+    partial trace, when the energy goes non-finite or the rank-one step
+    meets an overflowed gradient. On a batch (P, n, 64) with weights (P, 3)
+    or one LossWeights and beta (P,) or one number, returns (final states
+    (P, n, 64), list of P traces); a row that diverged gets NaN final states
+    and a trace whose failure says why, and the other rows go on.
     """
-    states = np.array(states, dtype=float, copy=True)
-    tb = _TraceBuilder()
-    converged = False
-    for _ in range(cfg.t_max):
-        if cfg.record_states:
-            tb.start_states.append(states.copy())
-        states, stats = sweep_once(states, cs, weights, beta, cfg,
-                                   stat_weights)
-        breakdown = C.loss_components(states, cs, cfg.norm, weights)
-        tb.add(l_total=breakdown.l_total, l_data=breakdown.l_data,
-               l_phys=breakdown.l_phys, l_logic=breakdown.l_logic, **stats)
-        if not np.isfinite(breakdown.l_total):
-            raise DivergenceError("energy became non-finite",
-                                  trace=tb.build(False))
-        if breakdown.l_total < cfg.tau:
-            converged = True
+    s = np.array(states, dtype=float, order="C")
+    single = s.ndim == 2
+    if single:
+        s = s[None]
+    p_count = s.shape[0]
+    w = C.weight_rows(weights, p_count)
+    b = np.broadcast_to(np.asarray(beta, dtype=float), (p_count,))
+    t_max = cfg.t_max
+    table = np.empty((len(ROW_FIELDS), t_max, p_count))
+    starts = np.empty((t_max,) + s.shape)
+    done = np.zeros(p_count, dtype=int)  # trace rows per batch row
+    evaluated = np.zeros(p_count, dtype=int)  # set as each row leaves
+    converged = np.zeros(p_count, dtype=bool)
+    failure = {}
+    live = np.arange(p_count)
+    sel = slice(None)  # indexes the live rows; a slice until one leaves
+    cur = s
+    for t in range(t_max):
+        starts[t, sel] = cur
+        new, st = sweep_once(cur, cs, w[sel], b[sel], cfg)
+        bd = C.loss_components(new, cs, cfg.norm, w[sel])
+        table[:, t, sel] = (bd.l_total, bd.l_data, bd.l_phys, bd.l_logic,
+                            st["grad_max"], st["grad_mean"], st["step_mean"])
+        total = bd.l_total
+        stay = st["moved"] & (total >= cfg.tau) & (total < np.inf)
+        if stay.all():
+            cur = new
+            continue
+        leave = ~stay
+        gone = live[leave]
+        s[gone] = new[leave]
+        evaluated[gone] = t + 1
+        done[gone] = t + 1 - st["diverged"][leave]
+        ok = np.isfinite(total) & ~st["diverged"]
+        converged[gone] = (ok & (total < cfg.tau))[leave]
+        for i in np.flatnonzero(leave & ~ok):
+            failure[live[i]] = (_STEP_FAILED if st["diverged"][i]
+                                else _ENERGY_FAILED)
+        for i in np.flatnonzero(ok & (total >= cfg.tau) & ~st["moved"]):
+            # a fixed point: every later sweep would repeat this one
+            p = live[i]
+            table[:, t + 1:, p] = table[:, t, p][:, None]
+            starts[t + 1:, p] = new[i]
+            done[p] = t_max
+        live, cur = live[stay], new[stay]
+        sel = live
+        if not live.size:
             break
-    return states, tb.build(converged)
+    s[live] = cur
+    evaluated[live] = done[live] = t_max
+    s[list(failure)] = np.nan
+
+    traces = []
+    for p in range(p_count):
+        k = done[p]
+        traces.append(ProjectionTrace(
+            **{f: table[i, :k, p].copy() for i, f in enumerate(ROW_FIELDS)},
+            iterations_run=int(k), converged=bool(converged[p]),
+            start_states=starts[:k, p], sweeps_evaluated=int(evaluated[p]),
+            failure=failure.get(p)))
+    if not single:
+        return s, traces
+    if traces[0].failure is not None:
+        raise DivergenceError(traces[0].failure, trace=traces[0])
+    return s[0], traces[0]

@@ -2,11 +2,14 @@
 
 With the evolution strategy enabled, each outer generation samples a small
 population of (loss weights, gating scalar) candidates, runs the inner
-projection loop on a clone of the current states for each, scores the end
-states under the fixed reference weights, adopts the best candidate's
-states, and feeds the ranking back to the strategy. Without it, the inner
-loop simply repeats with fixed parameters. Reported energies always use the
-reference weights under the variant's own normalization.
+projection loop on one batch holding a copy of the current states per
+candidate, scores each end state under the fixed reference weights (from
+the family losses of its last sweep), adopts the best candidate's states,
+and feeds the ranking back to the strategy. The reference-weighted
+gradient norms of the trace are computed for the adopted candidate only.
+Without it, the inner loop simply repeats with fixed parameters. Reported
+energies always use the reference weights under the variant's own
+normalization.
 
 A small divergence guard keeps adopted energies from climbing: after three
 consecutive increases the step size is halved and the states revert to the
@@ -24,7 +27,8 @@ from .cmaes import (DEFAULT_SIGMA0, DEFAULT_THETA_MEAN, ParamEncoding,
                     cma_ask, cma_init, cma_tell)
 from .errors import DivergenceError
 from .problems import physics_aware_init
-from .projection import ProjectionConfig, project_states, sweep_once
+from .projection import (ROW_FIELDS, ProjectionConfig, grad_stats,
+                         project_states, sweep_once)
 
 DEFAULT_BUDGET = 500
 DEFAULT_BETA = 0.8
@@ -104,6 +108,9 @@ class SolveTrace:
 
 @dataclass
 class SolveResult:
+    """One solve. steps counts adopted sweeps; sweeps_evaluated counts every
+    candidate sweep computed, leaving out rows copied at a fixed point."""
+
     final_states: np.ndarray
     final_energy: float
     steps: int
@@ -116,6 +123,7 @@ class SolveResult:
     seed: int
     energy_increase_events: int = 0
     guard_triggers: int = 0
+    sweeps_evaluated: int = 0
     adopted_energies: list = field(default_factory=list)
     diverged: bool = False
     failure: str | None = None
@@ -131,8 +139,7 @@ class _RunAccumulator:
     def __init__(self, ref_weights, record):
         self.ref = ref_weights.as_array()
         self.record = record
-        self.cols = {k: [] for k in ("l_total", "l_data", "l_phys", "l_logic",
-                                     "grad_max", "grad_mean", "step_mean")}
+        self.cols = {k: [] for k in ROW_FIELDS}
         self.steps = 0
         self.recorded_states = []
         self.recorded_params = []
@@ -140,12 +147,11 @@ class _RunAccumulator:
     def extend(self, trace, lambdas, beta):
         fams = np.stack([trace.l_data, trace.l_phys, trace.l_logic], axis=1)
         self.cols["l_total"].extend((fams @ self.ref).tolist())
-        for k in ("l_data", "l_phys", "l_logic", "grad_max", "grad_mean",
-                  "step_mean"):
+        for k in ROW_FIELDS[1:]:  # all but l_total, re-weighted above
             self.cols[k].extend(getattr(trace, k).tolist())
         self.steps += trace.iterations_run
         if self.record:
-            self.recorded_states.extend(trace.start_states)
+            self.recorded_states.extend(np.array(trace.start_states))
             self.recorded_params.extend(
                 [(np.asarray(lambdas, dtype=float), float(beta))]
                 * trace.iterations_run)
@@ -154,25 +160,27 @@ class _RunAccumulator:
         return SolveTrace(**{k: np.array(v) for k, v in self.cols.items()})
 
 
-def _projection_config(vc, record_states=False):
+def _projection_config(vc):
     return ProjectionConfig(
         grad_clip=1.0 if vc.use_grad_clip else None,
         use_delta=vc.use_delta,
         use_curvature=vc.use_curvature,
         norm=C.MSE if vc.use_mse else C.SSE,
-        record_states=record_states,
     )
 
 
 def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
-    """Run one variant on one instance; never raises for a diverging run."""
+    """Run one variant on one instance; never raises for a diverging run.
+
+    Raises ValueError when the start energy is not finite.
+    """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
     cs = inst.constraints
     norm = C.MSE if vc.use_mse else C.SSE
     ref = C.DEFAULT_WEIGHTS
-    cfg = _projection_config(vc, record_states)
+    cfg = _projection_config(vc)
 
     states = np.array(inst.initial_states, dtype=float, copy=True)
     if vc.use_physics_init:
@@ -183,9 +191,12 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     energy = lambda s: C.total_energy(s, cs, ref, norm)  # noqa: E731
 
     e_curr = energy(states)
+    if not np.isfinite(e_curr):
+        raise ValueError(f"start energy is not finite: {e_curr}")
     best_states = states.copy()
     best_energy = e_curr
     generations = 0
+    sweeps_evaluated = 0
     events = 0
     guard_triggers = 0
     increases = 0
@@ -200,27 +211,30 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         rng = np.random.default_rng(seed)
         while acc.steps < budget and best_energy >= DEEP_TOLERANCE:
             thetas = cma_ask(st, rng)
+            params = [ParamEncoding.decode(raw) for raw in thetas]
+            batch = np.broadcast_to(states, (len(params),) + states.shape)
+            outs, traces = project_states(
+                batch, cs, np.array([lam for lam, _ in params]),
+                np.array([beta for _, beta in params]), cfg)
             fits = np.full(st.lambda_pop, np.inf)
-            outputs = [None] * st.lambda_pop
-            for i, raw in enumerate(thetas):
-                lambdas, beta = ParamEncoding.decode(raw)
-                cand_w = C.LossWeights(*lambdas)
-                try:
-                    out, trace = project_states(states, cs, cand_w, beta,
-                                                cfg, stat_weights=ref)
-                except DivergenceError:
-                    continue  # scored +inf, ranked last
-                outputs[i] = (out, trace, lambdas, beta)
-                fits[i] = energy(out)
+            for i, tr in enumerate(traces):
+                sweeps_evaluated += tr.sweeps_evaluated
+                if tr.failure is None:  # else scored +inf, ranked last
+                    fits[i] = (ref.data * tr.l_data[-1]
+                               + ref.phys * tr.l_phys[-1]
+                               + ref.logic * tr.l_logic[-1])
             cma_tell(st, thetas, fits)
             generations += 1
             best_i = int(np.argmin(fits))
-            if outputs[best_i] is None:
+            trace = traces[best_i]
+            if trace.failure is not None:
                 diverged = True
                 failure = "all candidates diverged"
                 break
-            out, trace, lambdas, beta = outputs[best_i]
-            states = out
+            lambdas, beta = params[best_i]
+            states = outs[best_i]
+            trace.grad_max, trace.grad_mean = grad_stats(
+                trace.start_states, cs, ref, norm)
             acc.extend(trace, lambdas, beta)
             adopted_params.append((lambdas, beta))
             cma_history.append((st.generation, float(fits[best_i]),
@@ -253,9 +267,11 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
             except DivergenceError as err:
                 diverged = True
                 failure = str(err)
-                if err.trace is not None and err.trace.iterations_run:
+                sweeps_evaluated += err.trace.sweeps_evaluated
+                if err.trace.iterations_run:
                     acc.extend(err.trace, lambdas, beta)
                 break
+            sweeps_evaluated += trace.sweeps_evaluated
             acc.extend(trace, lambdas, beta)
             adopted_params.append((lambdas, beta))
             e_new = energy(states)
@@ -285,6 +301,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         seed=seed,
         energy_increase_events=events,
         guard_triggers=guard_triggers,
+        sweeps_evaluated=sweeps_evaluated,
         adopted_energies=adopted_energies,
         diverged=diverged,
         failure=failure,

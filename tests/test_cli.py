@@ -1,7 +1,9 @@
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +29,8 @@ def test_solve_generated_instance(capsys):
     assert payload["steps"] >= 1
     assert payload["e_final"] >= 0.0
     assert "violations" in payload
-    assert set(payload["violations"]) == {"phi_mean", "psi_mean", "combined"}
+    assert set(payload["violations"]) == {"phi_mean", "phi_max", "psi_mean",
+                                          "psi_max", "combined"}
 
 
 def test_solve_writes_trace(tmp_path, capsys):
@@ -135,3 +138,54 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 2
+
+
+def readme_keys(intro):
+    """Backticked names that open the list items after a README paragraph."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text[text.index(intro):].split("\n\n")[1]
+    items = re.findall(r"^- ((?:`\w+`(?:, )?)+)", block, flags=re.M)
+    return {k for item in items for k in re.findall(r"`(\w+)`", item)}
+
+
+def test_solve_payload_matches_readme(capsys):
+    documented = readme_keys("`solve` JSON payload")
+    for variant, extra in (("v2", []), ("baseline", ["--dump-curvature"])):
+        code, out, _ = run_main(["solve", "--n", "4", "--seed", "2",
+                                 "--variant", variant, "--budget", "20"]
+                                + extra, capsys)
+        assert code == 0
+        payload = json.loads(out)
+        want = documented if extra else documented - {"curvature"}
+        assert set(payload) == want
+        assert set(payload["violations"]) == readme_keys(
+            "`violations` are raw residual magnitudes")
+        assert payload["sweeps_evaluated"] >= payload["steps"] >= 1
+        assert payload["guard_triggers"] >= 0
+
+
+@pytest.mark.parametrize("variant", ["baseline", "v1", "v2"])
+def test_non_finite_state_rejected_by_every_variant(tmp_path, capsys, variant):
+    d = generate_instance(6, 0).to_json_dict()
+    d["states"][2][5] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run_main(["solve", "--instance", str(path),
+                               "--variant", variant, "--budget", "20"],
+                              capsys)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+def test_infinite_min_dist_rejected_as_non_finite(tmp_path, capsys):
+    d = generate_instance(4, 0).to_json_dict()
+    d["separations"][0][2] = float("inf")
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run_main(["solve", "--instance", str(path),
+                               "--variant", "v2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "min_dist must be finite" in err
+    assert "grid pitch" not in err

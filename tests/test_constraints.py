@@ -234,3 +234,37 @@ def test_violation_stats_values():
     # pos1 - pos0 + margin ... here 0.05 - 0 + 0.1 = 0.15
     assert vs.psi_mean == pytest.approx(0.15, abs=1e-15)
     assert vs.combined == pytest.approx((0.05 + 0.15) / 2, abs=1e-15)
+
+
+def test_non_finite_constraints_rejected():
+    # an infinite distance is caught here as non-finite, before anything
+    # downstream (the grid initializer) could misreport it
+    for build in (
+        dict(anchors={0: np.full(64, np.nan)}),
+        dict(separations=[(0, 1, np.inf)]),
+        dict(separations=[(0, 1, np.nan)]),
+        dict(orderings=[(0, 1, 0, np.inf)]),
+    ):
+        with pytest.raises(ConstraintError, match="must be finite"):
+            ConstraintSet.build(n_nodes=2, **build)
+
+
+def test_batch_rows_match_single_calls(rng):
+    # each row of a batched call, under its own weights, gives the single
+    # call's floats bit for bit
+    for _ in range(20):
+        n = int(rng.integers(2, 12))
+        cs = random_constraint_set(rng, n)
+        batch = rng.uniform(-1.0, 1.0, size=(5, n, 64))
+        rows = rng.uniform(0.1, 20.0, size=(5, 3))
+        for norm in (MSE, SSE):
+            g = loss_gradient(batch, cs, rows, norm)
+            lb = loss_components(batch, cs, norm, rows)
+            assert g.shape == batch.shape
+            for p in range(5):
+                w = LossWeights(*rows[p])
+                one = loss_components(batch[p], cs, norm, w)
+                assert g[p].tobytes() == loss_gradient(
+                    batch[p], cs, w, norm).tobytes()
+                for f in ("l_data", "l_phys", "l_logic", "l_total"):
+                    assert getattr(lb, f)[p] == getattr(one, f)

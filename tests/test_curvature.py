@@ -149,3 +149,23 @@ def test_report_structure(rng):
     assert len(d["edges"]) == g.n_edges
     assert len(d["nodes"]) == 5
     assert all(0.25 <= node["scale"] <= 2.0 for node in d["nodes"])
+
+
+def test_batched_graph_matches_single(rng):
+    # a (P, n, 64) batch shares one edge list; each weight, curvature and
+    # step-scale row equals the single-state result bit for bit
+    for n in (1, 2, 5, 20):
+        batch = rng.uniform(-1.0, 1.0, size=(4, n, 64))
+        batch[1, 0] = 0.0  # a degenerate state gets the floor weight
+        g = build_graph(batch)
+        kappa = all_edge_curvatures(g)
+        scale, mean = node_step_scales(g)
+        assert g.n_nodes == n and scale.shape == (4, n)
+        for p in range(4):
+            one = build_graph(batch[p])
+            assert np.array_equal(one.edges, g.edges)
+            assert one.weights.tobytes() == g.weights[p].tobytes()
+            assert all_edge_curvatures(one).tobytes() == kappa[p].tobytes()
+            s1, m1 = node_step_scales(one)
+            assert s1.tobytes() == scale[p].tobytes()
+            assert m1.tobytes() == mean[p].tobytes()

@@ -160,3 +160,15 @@ def test_instance_min_sep_fallback():
     inst = generate_instance(4, seed=0,
                              cfg=GeneratorConfig(min_sep=0.25))
     assert inst.min_sep == 0.25
+
+
+def test_instance_rejects_non_finite_states():
+    inst = generate_instance(4, 0)
+    bad = inst.initial_states.copy()
+    bad[2, 5] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        ProblemInstance(n=4, initial_states=bad, constraints=inst.constraints)
+    d = inst.to_json_dict()
+    d["states"][1][0] = float("inf")
+    with pytest.raises(ValueError, match="finite"):
+        ProblemInstance.from_json_dict(d)

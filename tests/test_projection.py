@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from topocsp.constraints import (MSE, ConstraintSet, LossWeights,
-                                 total_energy)
+from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, ConstraintSet,
+                                 LossWeights, total_energy)
 from topocsp.delta import DeltaParams, delta_step
 from topocsp.errors import DivergenceError
 from topocsp.projection import ProjectionConfig, project_states, sweep_once
@@ -223,3 +223,80 @@ def test_config_validation():
         ProjectionConfig(t_max=0)
     with pytest.raises(ValueError):
         ProjectionConfig(grad_clip=0.0)
+
+
+def batch_problem():
+    """Three nodes under every family, and five start states for them:
+    two ordinary ones, one sitting at a fixed point above tau (all nodes at
+    one position, so the separation hinges are at their zero-distance
+    subgradient and nothing else is violated), and one a hair from a
+    satisfied state."""
+    ref = np.zeros(64)
+    ref[:3] = (0.1, 0.2, 0.3)
+    cs = ConstraintSet.build(
+        n_nodes=3, anchors={0: ref},
+        separations=[(0, 1, 0.1), (1, 2, 0.1), (0, 2, 0.1)],
+        orderings=[(0, 1, 0, 0.0)])
+    rng = np.random.default_rng(11)
+    states = rng.uniform(-0.5, 0.5, size=(5, 3, 64))
+    states[:4, 0, 3:] = ref[3:]
+    states[2] = np.tile(ref, (3, 1))
+    states[3] = np.tile(ref, (3, 1))
+    states[3, 1, 0] += 0.5
+    states[3, 2, 0] += 1.0
+    states[3, 0, 3] += 1e-4
+    # candidate 4's data weight overflows its gradient
+    weights = np.array([[1.0, 10.0, 2.0], [3.0, 0.5, 7.0], [1.0, 10.0, 2.0],
+                        [2.0, 4.0, 1.0], [1e308, 10.0, 2.0]])
+    beta = np.array([0.8, 1.7, 0.3, 1.0, 0.8])
+    return states, cs, weights, beta
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_batch_rows_match_running_alone():
+    # one call over candidates with distinct weights and beta returns, per
+    # candidate, the states and trace of that candidate run alone, bit for
+    # bit; a candidate whose gradient overflows is dropped without touching
+    # the others
+    states, cs, weights, beta = batch_problem()
+    cfg = ProjectionConfig()
+    out, traces = project_states(states, cs, weights, beta, cfg)
+    assert out.shape == states.shape and len(traces) == 5
+    for p in range(4):
+        alone, tr = project_states(states[p], cs, LossWeights(*weights[p]),
+                                   beta[p], cfg)
+        assert out[p].tobytes() == alone.tobytes()
+        for f in ("l_total", "l_data", "l_phys", "l_logic", "grad_max",
+                  "grad_mean", "step_mean", "start_states"):
+            assert getattr(traces[p], f).tobytes() == getattr(tr, f).tobytes()
+        for f in ("iterations_run", "converged", "sweeps_evaluated",
+                  "failure"):
+            assert getattr(traces[p], f) == getattr(tr, f)
+    with pytest.raises(DivergenceError):
+        project_states(states[4], cs, LossWeights(*weights[4]), beta[4], cfg)
+    assert traces[4].failure is not None
+    assert np.all(np.isnan(out[4]))
+
+    ordinary, fixed, early = traces[1], traces[2], traces[3]
+    assert ordinary.iterations_run == ordinary.sweeps_evaluated == cfg.t_max
+    assert traces[0].converged
+    assert traces[4].iterations_run == 0 and traces[4].sweeps_evaluated == 1
+    # the fixed point is swept once; its other rows copy the first
+    assert fixed.iterations_run == cfg.t_max and fixed.sweeps_evaluated == 1
+    assert not fixed.converged and fixed.l_total[0] >= cfg.tau
+    assert np.all(fixed.l_total == fixed.l_total[0])
+    assert np.array_equal(out[2], states[2])
+    assert early.converged and early.iterations_run < cfg.t_max
+    assert early.sweeps_evaluated == early.iterations_run
+
+
+def test_batch_takes_one_weighting_for_all():
+    # one LossWeights and one beta apply to every batch row
+    states, cs, weights, beta = batch_problem()
+    cfg = ProjectionConfig()
+    a, ta = project_states(states[:4], cs, DEFAULT_WEIGHTS, 0.8, cfg)
+    b, tb = project_states(states[:4], cs, np.tile(weights[0], (4, 1)),
+                           np.full(4, 0.8), cfg)
+    assert a.tobytes() == b.tobytes()
+    assert [t.l_total.tobytes() for t in ta] == [t.l_total.tobytes()
+                                                 for t in tb]

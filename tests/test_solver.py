@@ -152,3 +152,26 @@ def test_solve_rejects_bad_budget():
     inst = generate_instance(3, seed=0)
     with pytest.raises(ValueError):
         solve(inst, variant("v2"), budget=0, seed=0)
+
+
+def test_sweeps_evaluated_counts_the_work():
+    inst = generate_instance(6, seed=3)
+    for name in ("baseline", "v1"):
+        res = solve(inst, variant(name), budget=120, seed=3)
+        assert res.sweeps_evaluated == res.steps
+    res = solve(inst, variant("v2"), budget=120, seed=3)
+    assert res.generations >= 1
+    assert res.steps <= res.sweeps_evaluated <= 8 * 10 * res.generations
+
+
+@pytest.mark.filterwarnings("ignore:overflow")
+def test_non_finite_start_energy_rejected():
+    # finite inputs whose energy overflows are refused by every variant
+    states = np.zeros((2, 64))
+    ref = np.zeros(64)
+    ref[0] = 1e200
+    cs = ConstraintSet.build(n_nodes=2, anchors={0: ref})
+    inst = ProblemInstance(n=2, initial_states=states, constraints=cs)
+    for name in PRESETS:
+        with pytest.raises(ValueError, match="start energy"):
+            solve(inst, variant(name), budget=10, seed=0)
