@@ -216,13 +216,12 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
             outs, traces = project_states(
                 batch, cs, np.array([lam for lam, _ in params]),
                 np.array([beta for _, beta in params]), cfg)
-            fits = np.full(st.lambda_pop, np.inf)
-            for i, tr in enumerate(traces):
-                sweeps_evaluated += tr.sweeps_evaluated
-                if tr.failure is None:  # else scored +inf, ranked last
-                    fits[i] = (ref.data * tr.l_data[-1]
-                               + ref.phys * tr.l_phys[-1]
-                               + ref.logic * tr.l_logic[-1])
+            sweeps_evaluated += sum(tr.sweeps_evaluated for tr in traces)
+            # a diverged candidate scores +inf and ranks last
+            fits = np.array([np.inf if tr.failure is not None else
+                             ref.data * tr.l_data[-1]
+                             + ref.phys * tr.l_phys[-1]
+                             + ref.logic * tr.l_logic[-1] for tr in traces])
             cma_tell(st, thetas, fits)
             generations += 1
             best_i = int(np.argmin(fits))
@@ -232,10 +231,11 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
                 failure = "all candidates diverged"
                 break
             lambdas, beta = params[best_i]
-            states = outs[best_i]
+            states = outs[best_i].copy()
             trace.grad_max, trace.grad_mean = grad_stats(
                 trace.start_states, cs, ref, norm)
             acc.extend(trace, lambdas, beta)
+            del outs, traces, trace  # free the batch before the next one
             adopted_params.append((lambdas, beta))
             cma_history.append((st.generation, float(fits[best_i]),
                                 float(np.mean(fits[np.isfinite(fits)]))

@@ -226,11 +226,11 @@ def test_config_validation():
 
 
 def batch_problem():
-    """Three nodes under every family, and five start states for them:
-    two ordinary ones, one sitting at a fixed point above tau (all nodes at
-    one position, so the separation hinges are at their zero-distance
-    subgradient and nothing else is violated), and one a hair from a
-    satisfied state."""
+    """Three nodes under every family, and five start states for them: two
+    ordinary ones, one sitting at a fixed point above tau (all nodes at one
+    position, so the separation hinges are at their zero-distance
+    subgradient and nothing else is violated), one a hair from a satisfied
+    state, and one whose data weight overflows its gradient."""
     ref = np.zeros(64)
     ref[:3] = (0.1, 0.2, 0.3)
     cs = ConstraintSet.build(
@@ -245,7 +245,6 @@ def batch_problem():
     states[3, 1, 0] += 0.5
     states[3, 2, 0] += 1.0
     states[3, 0, 3] += 1e-4
-    # candidate 4's data weight overflows its gradient
     weights = np.array([[1.0, 10.0, 2.0], [3.0, 0.5, 7.0], [1.0, 10.0, 2.0],
                         [2.0, 4.0, 1.0], [1e308, 10.0, 2.0]])
     beta = np.array([0.8, 1.7, 0.3, 1.0, 0.8])
@@ -300,3 +299,21 @@ def test_batch_takes_one_weighting_for_all():
     assert a.tobytes() == b.tobytes()
     assert [t.l_total.tobytes() for t in ta] == [t.l_total.tobytes()
                                                  for t in tb]
+
+
+def test_broadcast_batch_matches_running_alone(rng):
+    # the search hands over a broadcast view of one state array; each row
+    # must still sum like a single state array
+    n = 6
+    start = random_states(rng, n)
+    cs = random_constraint_set(rng, n)
+    weights = rng.uniform(0.5, 10.0, size=(4, 3))
+    beta = rng.uniform(0.2, 1.8, size=4)
+    cfg = ProjectionConfig()
+    out, traces = project_states(np.broadcast_to(start, (4, n, 64)), cs,
+                                 weights, beta, cfg)
+    for p in range(4):
+        alone, tr = project_states(start, cs, LossWeights(*weights[p]),
+                                   beta[p], cfg)
+        assert out[p].tobytes() == alone.tobytes()
+        assert traces[p].l_total.tobytes() == tr.l_total.tobytes()
