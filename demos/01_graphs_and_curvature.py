@@ -7,18 +7,14 @@ scales for the solver.
 
 import numpy as np
 
-from topocsp import (all_edge_curvatures, build_graph, curvature_step_scales,
-                     decompose_state, edge_weight)
+from topocsp import (SemanticGraph, all_edge_curvatures, build_graph,
+                     curvature_step_scales, edge_weight)
 
 rng = np.random.default_rng(0)
 
 # a node state is one 64-d vector; the first 16 components describe the
-# physical boundary, the middle 32 the structural form, the last 16 the role
-state = rng.uniform(-1, 1, size=64)
-bound, form, intent = decompose_state(state)
-print("sub-vector sizes:", bound.shape, form.shape, intent.shape)
-
-# edge weights come from cosine affinity, mapped to (0, 1]
+# physical boundary, the middle 32 the structural form, the last 16 the role.
+# Edge weights come from cosine affinity, mapped to (0, 1]
 a = rng.uniform(-1, 1, size=64)
 print("weight(a, a)      =", edge_weight(a, a))
 print("weight(a, -a)     =", edge_weight(a, -a))
@@ -42,6 +38,7 @@ for node in report.to_json_dict()["nodes"]:
           f" -> scale {node['scale']:.3f}")
 
 # a sparse topology changes the picture: chain graphs curve negative
-chain = build_graph(states, topology="explicit",
-                    edges=[(i, i + 1) for i in range(5)])
+edges = np.array([(i, i + 1) for i in range(5)])
+chain = SemanticGraph(states, edges, np.array(
+    [edge_weight(states[u], states[v]) for u, v in edges]))
 print("\nchain curvatures:", np.round(all_edge_curvatures(chain), 3))

@@ -9,7 +9,7 @@ ablation studies from the command line.
 """
 from .constraints import (ConstraintSet, DEFAULT_WEIGHTS, LossBreakdown,
                           LossWeights, ViolationStats, loss_components,
-                          loss_gradient, position_of, total_energy,
+                          loss_gradient, total_energy,
                           violation_stats, SUCCESS_THRESHOLD)
 from .cmaes import (CmaState, OptimizeResult, ParamEncoding, cma_ask,
                     cma_init, cma_optimize, cma_tell)
@@ -17,9 +17,8 @@ from .curvature import (CurvatureReport, all_edge_curvatures,
                         curvature_step_scales, forman_ricci)
 from .delta import DeltaParams, delta_step
 from .errors import (ConstraintError, DivergenceError, InfeasibleInitError,
-                     TopologyError, UnknownNodeError)
-from .graphs import (STATE_DIM, SemanticGraph, build_graph, decompose_state,
-                     degree, edge_weight)
+                     TopologyError)
+from .graphs import STATE_DIM, SemanticGraph, build_graph, edge_weight
 from .problems import (GeneratorConfig, ProblemInstance, generate_instance,
                        physics_aware_init)
 from .projection import ProjectionConfig, ProjectionTrace, project_states
@@ -32,7 +31,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConstraintSet", "DEFAULT_WEIGHTS", "LossBreakdown", "LossWeights",
-    "ViolationStats", "loss_components", "loss_gradient", "position_of",
+    "ViolationStats", "loss_components", "loss_gradient",
     "total_energy", "violation_stats", "SUCCESS_THRESHOLD",
     "CmaState", "OptimizeResult", "ParamEncoding", "cma_ask", "cma_init",
     "cma_optimize", "cma_tell",
@@ -40,9 +39,8 @@ __all__ = [
     "forman_ricci",
     "DeltaParams", "delta_step",
     "ConstraintError", "DivergenceError", "InfeasibleInitError",
-    "TopologyError", "UnknownNodeError",
-    "STATE_DIM", "SemanticGraph", "build_graph", "decompose_state", "degree",
-    "edge_weight",
+    "TopologyError",
+    "STATE_DIM", "SemanticGraph", "build_graph", "edge_weight",
     "GeneratorConfig", "ProblemInstance", "generate_instance",
     "physics_aware_init",
     "ProjectionConfig", "ProjectionTrace", "project_states",

@@ -9,9 +9,12 @@ Positions are the first 3 components of the bound block. Energy is the
 weighted sum of the family losses; each family may be normalized by its
 constraint count (MSE) or left as a raw sum (SSE).
 
-The losses and the gradient take one (n, 64) state array or a batch
-(P, n, 64) of them, each batch row with its own weights. A batch row gives
-the same floats, bit for bit, as the single-state call on that row.
+One evaluator, loss_components, computes the residuals once and returns
+the family losses, the weighted total and its analytic gradient;
+total_energy and loss_gradient are views of it. It takes one (n, 64) state
+array or a batch (P, n, 64) of them, each batch row with its own weights.
+A batch row gives the same floats, bit for bit, as the single-state call
+on that row.
 """
 from __future__ import annotations
 
@@ -29,11 +32,6 @@ _DIST_FLOOR = 1e-12
 
 MSE = "mse"
 SSE = "sse"
-
-
-def position_of(state):
-    """Position slice of one state: the first 3 components."""
-    return np.asarray(state, dtype=float)[:POSITION_DIM]
 
 
 @dataclass
@@ -179,13 +177,14 @@ class ConstraintSet:
 
 @dataclass
 class LossBreakdown:
-    """Family losses plus their weighted total."""
+    """Family losses, their weighted total, and the gradient of the total."""
 
     l_data: float
     l_phys: float
     l_logic: float
     l_total: float
     norm: str
+    grad: np.ndarray
 
     def families(self):
         return np.array([self.l_data, self.l_phys, self.l_logic])
@@ -238,63 +237,36 @@ def _ordering_residuals(flat, cs):
 
 
 def loss_components(states, cs, norm=MSE, weights=None):
-    """Family losses and weighted total.
+    """Family losses, weighted total and the gradient of that total, all
+    from one pass over the residuals.
 
-    With weights=None the total is the plain sum of the three family losses.
-    For a batch the fields are (P,) arrays and weights may be (P, 3) rows.
-    """
-    s, single = _batch(states, cs)
-    flat = s.reshape(s.shape[0], -1)
-    d_data, d_phys, d_logic = cs.divisors(norm)
-
-    resid = flat.take(cs._anchor_cells, axis=1) - cs.anchor_refs.ravel()
-    l_data = row_sums(resid * resid) / d_data
-    phi, _, _ = _separation_residuals(flat, cs)
-    l_phys = row_sums(phi * phi) / d_phys
-    psi = _ordering_residuals(flat, cs)
-    l_logic = row_sums(psi * psi) / d_logic
-
-    if weights is None:
-        total = l_data + l_phys + l_logic
-    else:
-        w = weight_rows(weights, s.shape[0])
-        total = w[:, 0] * l_data + w[:, 1] * l_phys + w[:, 2] * l_logic
-    if single:
-        return LossBreakdown(float(l_data[0]), float(l_phys[0]),
-                             float(l_logic[0]), float(total[0]), norm)
-    return LossBreakdown(l_data, l_phys, l_logic, total, norm)
-
-
-def total_energy(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
-    """Weighted energy E; success means E < 2.0."""
-    return loss_components(states, cs, norm, weights).l_total
-
-
-def loss_gradient(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
-    """Analytic gradient of total_energy, shaped like states.
+    weights=None means unit weights. For a batch the loss fields are (P,)
+    arrays, weights may be (P, 3) rows, and grad is (P, n, 64).
 
     Hinge terms contribute zero exactly at their kink (subgradient choice);
     the separation direction is zeroed when the pair distance is below 1e-12.
-    All terms go through one bincount in a fixed order (anchors, separation
-    a ends, separation b ends, ordering a ends, ordering b ends), so each
-    cell sums its terms in the same order whatever the batch size.
+    All gradient terms go through one bincount in a fixed order (anchors,
+    separation a ends, separation b ends, ordering a ends, ordering b ends),
+    so each cell sums its terms in the same order whatever the batch size.
     """
     s, single = _batch(states, cs)
     p_count = s.shape[0]
     flat = s.reshape(p_count, -1)
     size = flat.shape[1]
-    w = weight_rows(weights, p_count)
+    w = weight_rows(np.ones(3) if weights is None else weights, p_count)
     d_data, d_phys, d_logic = cs.divisors(norm)
     cells, terms = [], []
 
+    resid = flat.take(cs._anchor_cells, axis=1) - cs.anchor_refs.ravel()
+    l_data = row_sums(resid * resid) / d_data
     if cs.anchor_ids.size:
-        resid = flat.take(cs._anchor_cells, axis=1) - cs.anchor_refs.ravel()
         coef = 2.0 * w[:, 0] / d_data
         cells.append((np.arange(0, p_count * size, size)[:, None]
                       + cs._anchor_cells).ravel())
         terms.append((coef[:, None] * resid).ravel())
 
     phi, diff, dist = _separation_residuals(flat, cs)
+    l_phys = row_sums(phi * phi) / d_phys
     # d(phi^2)/d pos(a) = -2 phi * (pos(a)-pos(b))/dist, active when phi > 0
     rows, pairs = np.nonzero((phi > 0.0) & (dist > _DIST_FLOOR))
     if rows.size:
@@ -307,6 +279,7 @@ def loss_gradient(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
             terms.append(sign.ravel())
 
     psi = _ordering_residuals(flat, cs)
+    l_logic = row_sums(psi * psi) / d_logic
     rows, pairs = np.nonzero(psi > 0.0)
     if rows.size:
         coef = (2.0 * w[rows, 2] / d_logic) * psi[rows, pairs]
@@ -320,7 +293,21 @@ def loss_gradient(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
                            minlength=p_count * size).reshape(s.shape)
     else:
         grad = np.zeros(s.shape)
-    return grad[0] if single else grad
+    total = w[:, 0] * l_data + w[:, 1] * l_phys + w[:, 2] * l_logic
+    if single:
+        return LossBreakdown(float(l_data[0]), float(l_phys[0]),
+                             float(l_logic[0]), float(total[0]), norm, grad[0])
+    return LossBreakdown(l_data, l_phys, l_logic, total, norm, grad)
+
+
+def total_energy(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
+    """Weighted energy E; success means E < 2.0."""
+    return loss_components(states, cs, norm, weights).l_total
+
+
+def loss_gradient(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
+    """Analytic gradient of total_energy, shaped like states."""
+    return loss_components(states, cs, norm, weights).grad
 
 
 @dataclass

@@ -2,11 +2,7 @@
 
 
 class TopologyError(ValueError):
-    """Edge specification references unknown nodes or is malformed."""
-
-
-class UnknownNodeError(ValueError):
-    """Node id not present in the graph."""
+    """Edge not present in the graph."""
 
 
 class ConstraintError(ValueError):

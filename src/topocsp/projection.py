@@ -27,6 +27,12 @@ gradient. Once a sweep leaves every node of a row below epsilon, the row is
 at a fixed point: it is not swept again, and its remaining trace rows copy
 its last one. Each batch row ends with the same states and trace, bit for
 bit, as the same row run alone.
+
+The loss is evaluated once at the start states and once after each sweep,
+at the new states. That one evaluation gives the sweep's trace losses and
+the next sweep's gradient, which is carried into sweep_once. A run of k
+sweeps thus evaluates the loss k + 1 times, plus k more for the rank-one
+step's secant.
 """
 from __future__ import annotations
 
@@ -60,7 +66,6 @@ class ProjectionConfig:
     gamma: float = GAMMA
     eta_min: float = ETA_MIN
     eta_max: float = ETA_MAX
-    topology: str = "complete"
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -116,18 +121,18 @@ def grad_stats(states, cs, weights, norm):
     return norms.max(axis=-1), norms.sum(axis=-1) / norms.shape[-1]
 
 
-def sweep_once(states, cs, weights, beta, cfg):
+def sweep_once(states, cs, weights, beta, cfg, grad=None):
     """One Jacobi sweep; returns (new_states, stats dict).
 
-    Exposed separately so update maps can be probed at a frozen state. The
-    gradient norms in stats are those of the dynamics gradient, under
-    `weights`. On one (n, 64) array, stats holds floats grad_max, grad_mean
-    and step_mean, and an overflowed gradient in the rank-one step raises
-    DivergenceError. On a batch (P, n, 64), with weights (P, 3) or one
-    LossWeights and beta (P,) or one number, stats holds (P,) arrays of
-    those three plus the masks `moved` (some node stepped) and `diverged`
-    (the rank-one step met an overflowed gradient; the row comes back
-    unchanged).
+    Exposed separately so update maps can be probed at a frozen state. grad
+    is the loss gradient at `states` under `weights`, computed here when
+    omitted; the gradient norms in stats are its norms. On one (n, 64)
+    array, stats holds floats grad_max, grad_mean and step_mean, and a NaN
+    or overflowed gradient in the rank-one step raises DivergenceError. On
+    a batch (P, n, 64), with weights (P, 3) or one LossWeights and beta
+    (P,) or one number, stats holds (P,) arrays of those three plus the
+    masks `moved` (some node stepped) and `diverged` (the rank-one step met
+    a NaN or overflowed gradient; the row comes back unchanged).
     """
     s = np.ascontiguousarray(states, dtype=float)
     single = s.ndim == 2
@@ -135,9 +140,12 @@ def sweep_once(states, cs, weights, beta, cfg):
         s = s[None]
     p_count = s.shape[0]
     w = C.weight_rows(weights, p_count)
-    grad = C.loss_gradient(s, cs, w, cfg.norm)
+    if grad is None:
+        grad = C.loss_gradient(s, cs, w, cfg.norm)
+    grad = grad.reshape(s.shape)
     norms = C.row_norms(grad)
-    active = norms >= cfg.epsilon
+    # a NaN norm counts as active, so an overflowed gradient drops the row
+    active = ~(norms < cfg.epsilon)
     moved = active.any(axis=1)
     diverged = np.zeros(p_count, dtype=bool)
     out = s.copy()
@@ -148,7 +156,7 @@ def sweep_once(states, cs, weights, beta, cfg):
             scale = np.minimum(1.0, cfg.grad_clip / np.maximum(norms, 1e-300))
             clipped = grad * scale[..., None]
         if cfg.use_curvature:
-            graph = build_graph(s, topology=cfg.topology)
+            graph = build_graph(s)
             eta, _ = node_step_scales(graph, cfg.gamma, cfg.eta_min,
                                       cfg.eta_max)
         else:
@@ -226,10 +234,13 @@ def project_states(states, cs, weights, beta, cfg):
     live = np.arange(p_count)
     sel = slice(None)  # indexes the live rows; a slice until one leaves
     cur = s
+    grad = C.loss_components(cur, cs, cfg.norm, w).grad
     for t in range(t_max):
         starts[t, sel] = cur
-        new, st = sweep_once(cur, cs, w[sel], b[sel], cfg)
+        new, st = sweep_once(cur, cs, w[sel], b[sel], cfg, grad)
+        # one evaluation gives this row's losses and the next sweep's gradient
         bd = C.loss_components(new, cs, cfg.norm, w[sel])
+        grad = bd.grad
         table[:, t, sel] = (bd.l_total, bd.l_data, bd.l_phys, bd.l_logic,
                             st["grad_max"], st["grad_mean"], st["step_mean"])
         total = bd.l_total
@@ -253,7 +264,7 @@ def project_states(states, cs, weights, beta, cfg):
             table[:, t + 1:, p] = table[:, t, p][:, None]
             starts[t + 1:, p] = new[i]
             done[p] = t_max
-        live, cur = live[stay], new[stay]
+        live, cur, grad = live[stay], new[stay], grad[stay]
         sel = live
         if not live.size:
             break

@@ -188,9 +188,8 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
                                                         inst.min_sep)
 
     acc = _RunAccumulator(ref, record_states)
-    energy = lambda s: C.total_energy(s, cs, ref, norm)  # noqa: E731
 
-    e_curr = energy(states)
+    e_curr = C.total_energy(states, cs, ref, norm)
     if not np.isfinite(e_curr):
         raise ValueError(f"start energy is not finite: {e_curr}")
     best_states = states.copy()
@@ -274,7 +273,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
             sweeps_evaluated += trace.sweeps_evaluated
             acc.extend(trace, lambdas, beta)
             adopted_params.append((lambdas, beta))
-            e_new = energy(states)
+            e_new = float(trace.l_total[-1])  # the energy of `states`
             if e_new > e_curr + _EVENT_EPS:
                 events += 1
             e_curr = e_new

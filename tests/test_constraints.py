@@ -261,10 +261,28 @@ def test_batch_rows_match_single_calls(rng):
             g = loss_gradient(batch, cs, rows, norm)
             lb = loss_components(batch, cs, norm, rows)
             assert g.shape == batch.shape
+            assert lb.grad.tobytes() == g.tobytes()
             for p in range(5):
                 w = LossWeights(*rows[p])
                 one = loss_components(batch[p], cs, norm, w)
                 assert g[p].tobytes() == loss_gradient(
                     batch[p], cs, w, norm).tobytes()
+                assert one.grad.tobytes() == g[p].tobytes()
                 for f in ("l_data", "l_phys", "l_logic", "l_total"):
                     assert getattr(lb, f)[p] == getattr(one, f)
+
+
+def test_no_weights_means_unit_weights(rng):
+    # weights=None gives the bits of weights (1, 1, 1), gradient and total
+    for _ in range(10):
+        n = int(rng.integers(2, 12))
+        cs = random_constraint_set(rng, n)
+        for states in (random_states(rng, n),
+                       rng.uniform(-1.0, 1.0, size=(3, n, 64))):
+            for norm in (MSE, SSE):
+                plain = loss_components(states, cs, norm)
+                unit = loss_components(states, cs, norm,
+                                       LossWeights(1.0, 1.0, 1.0))
+                assert plain.grad.tobytes() == unit.grad.tobytes()
+                assert (np.asarray(plain.l_total).tobytes()
+                        == np.asarray(unit.l_total).tobytes())

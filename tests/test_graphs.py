@@ -1,38 +1,10 @@
 import numpy as np
 import pytest
 
-from topocsp.errors import TopologyError, UnknownNodeError
-from topocsp.graphs import (STATE_DIM, WEIGHT_FLOOR, build_graph,
-                            decompose_state, degree, edge_weight,
-                            pairwise_weights)
+from topocsp.graphs import (STATE_DIM, WEIGHT_FLOOR, SemanticGraph,
+                            build_graph, edge_weight, pairwise_weights)
 
 from conftest import random_states
-
-
-def test_decompose_zero():
-    b, f, i = decompose_state(np.zeros(STATE_DIM))
-    assert b.shape == (16,) and f.shape == (32,) and i.shape == (16,)
-    assert not b.any() and not f.any() and not i.any()
-
-
-def test_decompose_unit_basis():
-    s = np.zeros(STATE_DIM)
-    s[0] = 1.0
-    b, f, i = decompose_state(s)
-    assert b[0] == 1.0 and np.count_nonzero(b) == 1
-    assert not f.any() and not i.any()
-
-
-def test_decompose_round_trip(rng):
-    for _ in range(20):
-        s = rng.normal(size=STATE_DIM)
-        b, f, i = decompose_state(s)
-        assert np.array_equal(np.concatenate([b, f, i]), s)
-
-
-def test_decompose_rejects_bad_length():
-    with pytest.raises(ValueError):
-        decompose_state(np.zeros(63))
 
 
 def test_edge_weight_identical_states(rng):
@@ -98,7 +70,7 @@ def test_build_complete_two_identical():
     s = np.ones((2, STATE_DIM))
     g = build_graph(s)
     assert g.n_edges == 1
-    assert g.weight_of(0, 1) == pytest.approx(1.0, abs=1e-12)
+    assert g.weights[g.edge_index(0, 1)] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_complete_single_node():
@@ -112,7 +84,7 @@ def test_build_complete_orthogonal_triple():
     g = build_graph(s)
     assert g.n_edges == 3
     for u, v in ((0, 1), (0, 2), (1, 2)):
-        assert g.weight_of(u, v) == pytest.approx(0.5, abs=1e-15)
+        assert g.weights[g.edge_index(u, v)] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_build_complete_edge_count(rng):
@@ -121,48 +93,9 @@ def test_build_complete_edge_count(rng):
         assert g.n_edges == n * (n - 1) // 2
 
 
-def test_build_explicit_validates(rng):
-    states = random_states(rng, 4)
-    with pytest.raises(TopologyError):
-        build_graph(states, topology="explicit", edges=[(0, 9)])
-    with pytest.raises(TopologyError):
-        build_graph(states, topology="explicit", edges=[(1, 1)])
-    g = build_graph(states, topology="explicit", edges=[(2, 0), (0, 2), (1, 3)])
-    assert g.n_edges == 2  # dedupe across orientations
-
-
-def test_build_knn(rng):
-    states = random_states(rng, 6)
-    g = build_graph(states, topology="knn", k=2)
-    assert g.n_edges >= 6  # union of per-node picks
-    assert np.all(g.edges[:, 0] < g.edges[:, 1])
-
-
-def test_unknown_topology(rng):
-    with pytest.raises(TopologyError):
-        build_graph(random_states(rng, 3), topology="ring")
-
-
 def test_degree(rng):
     states = random_states(rng, 4)
     # path 0-1-2, node 3 isolated
-    g = build_graph(states, topology="explicit", edges=[(0, 1), (1, 2)])
-    assert degree(g, 3) == 0
-    assert degree(g, 1) == 2
-    assert degree(g, 0) == 1
-    full = build_graph(states)
-    for v in range(4):
-        assert degree(full, v) == 3
-    with pytest.raises(UnknownNodeError):
-        degree(g, 11)
-
-
-def test_weights_recompute_with_states(rng):
-    states = random_states(rng, 5)
-    g = build_graph(states)
-    moved = random_states(rng, 5)
-    g2 = g.with_states(moved)
-    assert np.array_equal(g2.edges, g.edges)
-    w = pairwise_weights(moved)
-    assert np.allclose(g2.weights, w[g2.edges[:, 0], g2.edges[:, 1]], rtol=0,
-                       atol=0)
+    path = SemanticGraph(states, np.array([[0, 1], [1, 2]]), np.ones(2))
+    assert path.degrees().tolist() == [1, 2, 1, 0]
+    assert build_graph(states).degrees().tolist() == [3, 3, 3, 3]

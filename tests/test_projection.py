@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
+from topocsp import constraints as C
 from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, ConstraintSet,
                                  LossWeights, total_energy)
 from topocsp.delta import DeltaParams, delta_step
 from topocsp.errors import DivergenceError
-from topocsp.projection import ProjectionConfig, project_states, sweep_once
+from topocsp.problems import generate_instance
+from topocsp.projection import (_ENERGY_FAILED, _STEP_FAILED,
+                                ProjectionConfig, project_states, sweep_once)
 
 from conftest import (gradient_step_target, random_constraint_set,
                       random_states)
@@ -158,6 +161,24 @@ def test_overflowed_gradient_diverges():
                              separations=[], orderings=[])
     with pytest.raises(DivergenceError):
         sweep_once(states, cs, UNIT_WEIGHTS, 0.8, ProjectionConfig())
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_nan_gradient_drops_the_candidate():
+    # a data weight of 1e308 overflows 2 * w to inf, and inf times the
+    # anchored node's zero residual components puts NaN in its gradient; the
+    # NaN norm must drop the candidate, not freeze the node
+    inst = generate_instance(6, 0)
+    cs = inst.constraints
+    states = inst.initial_states.copy()
+    states[cs.anchor_ids[0], 3:] = cs.anchor_refs[0, 3:]
+    weights = np.array([[1e308, 10.0, 2.0]])
+    for use_delta, failure in ((True, _STEP_FAILED), (False, _ENERGY_FAILED)):
+        cfg = ProjectionConfig(use_delta=use_delta)
+        out, (trace,) = project_states(states[None], cs, weights, 0.8, cfg)
+        assert trace.failure == failure
+        assert trace.sweeps_evaluated == 1
+        assert np.all(np.isnan(out))
 
 
 def test_grad_clip_limits_reported_norms(rng):
@@ -317,3 +338,28 @@ def test_broadcast_batch_matches_running_alone(rng):
                                    beta[p], cfg)
         assert out[p].tobytes() == alone.tobytes()
         assert traces[p].l_total.tobytes() == tr.l_total.tobytes()
+
+
+def test_one_evaluation_per_swept_state(monkeypatch):
+    # the start states are evaluated once; then each sweep evaluates its new
+    # states once, and the rank-one step its secant point once; a row that
+    # has left the batch is not evaluated again
+    states, cs, weights, beta = batch_problem()
+    rows = [1, 2, 3]  # runs every sweep; a fixed point; converges early
+    calls = []
+    real = C.loss_components
+
+    def counted(states, *args, **kwargs):
+        calls.append(len(states))
+        return real(states, *args, **kwargs)
+
+    monkeypatch.setattr(C, "loss_components", counted)
+    for use_delta, per_sweep in ((True, 2), (False, 1)):
+        cfg = ProjectionConfig(use_delta=use_delta)
+        calls.clear()
+        _, traces = project_states(states[rows], cs, weights[rows],
+                                   beta[rows], cfg)
+        evaluated = [tr.sweeps_evaluated for tr in traces]
+        assert evaluated[0] == cfg.t_max and evaluated[1] == 1
+        assert len(calls) == per_sweep * cfg.t_max + 1
+        assert sum(calls) == sum(per_sweep * k + 1 for k in evaluated)
