@@ -19,8 +19,7 @@ from .delta import DeltaParams, delta_step
 from .errors import (ConstraintError, DivergenceError, InfeasibleInitError,
                      TopologyError)
 from .graphs import STATE_DIM, SemanticGraph, build_graph, edge_weight
-from .problems import (GeneratorConfig, ProblemInstance, generate_instance,
-                       physics_aware_init)
+from .problems import ProblemInstance, generate_instance, physics_aware_init
 from .projection import ProjectionConfig, ProjectionTrace, project_states
 from .solver import (SolveResult, VariantConfig, jacobian_stats, solve,
                      variant)
@@ -41,8 +40,7 @@ __all__ = [
     "ConstraintError", "DivergenceError", "InfeasibleInitError",
     "TopologyError",
     "STATE_DIM", "SemanticGraph", "build_graph", "edge_weight",
-    "GeneratorConfig", "ProblemInstance", "generate_instance",
-    "physics_aware_init",
+    "ProblemInstance", "generate_instance", "physics_aware_init",
     "ProjectionConfig", "ProjectionTrace", "project_states",
     "SolveResult", "VariantConfig", "jacobian_stats", "solve", "variant",
     "StudySpec", "derive_seed", "run_ablation", "run_scaling_study",

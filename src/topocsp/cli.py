@@ -19,9 +19,9 @@ from .curvature import curvature_step_scales
 from .graphs import build_graph
 from .problems import generate_instance, ProblemInstance
 from .solver import DEFAULT_BUDGET, PRESETS, solve, variant
-from .studies import (DEFAULT_MASTER_SEED, DEFAULT_SIZES, StudySpec,
-                      run_ablation, run_scaling_study, run_seed_study,
-                      trace_rows, TRACE_HEADER)
+from .studies import (DEFAULT_MASTER_SEED, DEFAULT_SIZES,
+                      SEED_STUDY_VARIANTS, STUDIES, StudySpec, trace_rows,
+                      TRACE_HEADER)
 
 USAGE_EXIT = 1
 FAILED_RUNS_EXIT = 2
@@ -64,7 +64,7 @@ def build_parser():
                     help="include the final-state curvature report")
 
     pb = sub.add_parser("bench", help="run a benchmark study")
-    pb.add_argument("study", choices=("seeds", "scaling", "ablation"))
+    pb.add_argument("study", choices=tuple(STUDIES))
     pb.add_argument("--out", required=True, help="output directory")
     pb.add_argument("--seeds", type=int, default=20, dest="n_seeds")
     pb.add_argument("--sizes", type=_parse_sizes,
@@ -123,21 +123,13 @@ def _usage_error(message):
 
 
 def _cmd_bench(args):
-    if args.study == "seeds":
-        spec = StudySpec(study="seeds", sizes=(args.n,), n_seeds=args.n_seeds,
-                         out_dir=args.out, budget=args.budget,
-                         master_seed=args.master_seed)
-        report = run_seed_study(spec)
-    elif args.study == "scaling":
-        spec = StudySpec(study="scaling", sizes=args.sizes, variants=("v2",),
-                         n_seeds=args.n_seeds, out_dir=args.out,
-                         budget=args.budget, master_seed=args.master_seed)
-        report = run_scaling_study(spec)
-    else:
-        spec = StudySpec(study="ablation", sizes=(args.n,), variants=("v2",),
-                         n_seeds=args.n_seeds, out_dir=args.out,
-                         budget=args.budget, master_seed=args.master_seed)
-        report = run_ablation(spec)
+    spec = StudySpec(
+        study=args.study,
+        sizes=args.sizes if args.study == "scaling" else (args.n,),
+        variants=SEED_STUDY_VARIANTS if args.study == "seeds" else ("v2",),
+        n_seeds=args.n_seeds, out_dir=args.out, budget=args.budget,
+        master_seed=args.master_seed)
+    report = STUDIES[args.study](spec)
     for path in report.out_files:
         print(path)
     return FAILED_RUNS_EXIT if report.n_failed else 0

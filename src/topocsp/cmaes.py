@@ -2,7 +2,8 @@
 
 Minimal CMA-ES for low-dimensional hyperparameter search:
 
-  - population lambda = 4 + floor(3 ln d), parents mu = floor(lambda / 2)
+  - population lambda = 4 + floor(3 ln d), always by this rule, parents
+    mu = floor(lambda / 2)
   - selection weights w_i proportional to ln(mu + 1/2) - ln i, summing to 1
   - sampling via eigendecomposition of C (eigenvalues floored at 1e-10,
     flagged when the repair fires)
@@ -63,12 +64,8 @@ class CmaState:
     repaired: bool = False
 
 
-def cma_init(d, m0, sigma0, lambda_pop=None):
-    """Fresh state: C = I, zero evolution path.
-
-    lambda_pop can be overridden (e.g. 2 to get the single-parent case);
-    by default it follows the population rule.
-    """
+def cma_init(d, m0, sigma0):
+    """Fresh state: C = I, zero evolution path, population by the rule."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if not sigma0 > 0:
@@ -76,9 +73,7 @@ def cma_init(d, m0, sigma0, lambda_pop=None):
     m0 = np.asarray(m0, dtype=float)
     if m0.shape != (d,):
         raise ValueError(f"m0 must have shape ({d},)")
-    lam = default_population(d) if lambda_pop is None else int(lambda_pop)
-    if lam < 2:
-        raise ValueError("lambda_pop must be >= 2")
+    lam = default_population(d)
     mu = lam // 2
     w = selection_weights(mu)
     mu_eff = 1.0 / float(np.sum(w * w))

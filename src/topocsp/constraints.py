@@ -186,9 +186,6 @@ class LossBreakdown:
     norm: str
     grad: np.ndarray
 
-    def families(self):
-        return np.array([self.l_data, self.l_phys, self.l_logic])
-
 
 def _batch(states, cs):
     """(P, n, 64) C-contiguous float view of a state array or batch, and

@@ -7,7 +7,8 @@ For an edge e = (u, v) with weight w(e):
 where e' ~ e ranges over edges sharing exactly one endpoint with e. Positive
 curvature marks dense neighborhoods, negative curvature marks bottlenecks.
 Per-node step scales shrink steps in positive-curvature regions and enlarge
-them in negative ones. A batched graph gets one curvature row and one
+them in negative ones, by the fixed law clamp(exp(-GAMMA * mean kappa),
+ETA_MIN, ETA_MAX). A batched graph gets one curvature row and one
 step-scale row per batch row.
 """
 from __future__ import annotations
@@ -62,8 +63,9 @@ def forman_ricci(graph, edge):
     return float(all_edge_curvatures(graph)[idx])
 
 
-def node_step_scales(graph, gamma=GAMMA, eta_min=ETA_MIN, eta_max=ETA_MAX):
-    """Per-node step multipliers eta_v = clamp(exp(-gamma * mean kappa), lo, hi).
+def node_step_scales(graph):
+    """Per-node step multipliers eta_v = clamp(exp(-GAMMA * mean kappa),
+    ETA_MIN, ETA_MAX).
 
     The mean runs over edges incident to v; isolated nodes get mean 0 and a
     neutral scale of 1. Both results are (..., n), one row per batch row.
@@ -73,7 +75,7 @@ def node_step_scales(graph, gamma=GAMMA, eta_min=ETA_MIN, eta_max=ETA_MAX):
     cnt = graph.degrees().astype(float)
     acc = _node_sums(graph.edges, kappa, n)
     mean = np.divide(acc, cnt, out=np.zeros(acc.shape), where=cnt > 0)
-    return np.clip(np.exp(-gamma * mean), eta_min, eta_max), mean
+    return np.clip(np.exp(-GAMMA * mean), ETA_MIN, ETA_MAX), mean
 
 
 @dataclass
@@ -84,9 +86,6 @@ class CurvatureReport:
     curvature: np.ndarray
     node_mean_curvature: np.ndarray
     node_scale: np.ndarray
-    gamma: float = GAMMA
-    eta_min: float = ETA_MIN
-    eta_max: float = ETA_MAX
 
     def per_edge(self):
         return {(int(u), int(v)): float(k)
@@ -106,23 +105,20 @@ class CurvatureReport:
                 for i, (m, s) in enumerate(
                     zip(self.node_mean_curvature, self.node_scale))
             ],
-            "gamma": self.gamma,
-            "eta_min": self.eta_min,
-            "eta_max": self.eta_max,
+            "gamma": GAMMA,
+            "eta_min": ETA_MIN,
+            "eta_max": ETA_MAX,
         }
 
 
-def curvature_step_scales(graph, gamma=GAMMA, eta_min=ETA_MIN, eta_max=ETA_MAX):
+def curvature_step_scales(graph):
     """Full curvature report for a graph."""
     if graph.n_nodes < 1:
         raise TopologyError("graph has no nodes")
-    scale, mean = node_step_scales(graph, gamma, eta_min, eta_max)
+    scale, mean = node_step_scales(graph)
     return CurvatureReport(
         edges=graph.edges,
         curvature=all_edge_curvatures(graph),
         node_mean_curvature=mean,
         node_scale=scale,
-        gamma=gamma,
-        eta_min=eta_min,
-        eta_max=eta_max,
     )

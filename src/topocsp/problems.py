@@ -1,11 +1,12 @@
 """Synthetic instance generation and the jittered-grid initializer.
 
-The generator draws, in this fixed order from one seeded stream: node
-positions uniform in the unit cube, the remaining 61 state components
-uniform in [-off_scale, off_scale], then one fresh cube position per
-anchored node (the anchor reference keeps the node's off-position
-components). Separations cover all pairs at one minimum distance and
-orderings form a chain on axis 0, which is always jointly satisfiable.
+The generator's choices are fixed. It draws, in this order from one seeded
+stream: node positions uniform in the unit cube, the remaining 61 state
+components uniform in [-OFF_SCALE, OFF_SCALE], then, for each of the first
+ceil(ANCHOR_FRACTION * n) nodes, one fresh cube position for its anchor
+reference, which keeps the node's off-position components. Separations
+cover all pairs at DEFAULT_MIN_SEP, and orderings form the chain
+(i, i + 1) on axis 0 with margin 0, which is always jointly satisfiable.
 """
 from __future__ import annotations
 
@@ -20,25 +21,8 @@ from .errors import InfeasibleInitError
 from .graphs import STATE_DIM
 
 DEFAULT_MIN_SEP = 0.1
-
-
-@dataclass
-class GeneratorConfig:
-    anchor_fraction: float = 0.5
-    min_sep: float = DEFAULT_MIN_SEP
-    n_orderings: int | None = None  # None: chain over all n-1 neighbor pairs
-    ordering_axis: int = 0
-    ordering_margin: float = 0.0
-    off_scale: float = 0.1
-    init_mode: str = "uniform"  # or "grid"
-
-    def __post_init__(self):
-        if not 0.0 <= self.anchor_fraction <= 1.0:
-            raise ValueError("anchor_fraction must be in [0, 1]")
-        if not self.min_sep > 0:
-            raise ValueError("min_sep must be positive")
-        if self.init_mode not in ("uniform", "grid"):
-            raise ValueError(f"unknown init_mode {self.init_mode!r}")
+ANCHOR_FRACTION = 0.5
+OFF_SCALE = 0.1
 
 
 @dataclass
@@ -47,7 +31,6 @@ class ProblemInstance:
     initial_states: np.ndarray
     constraints: ConstraintSet
     seed: int | None = None
-    config: GeneratorConfig | None = None
 
     def __post_init__(self):
         states = np.asarray(self.initial_states, dtype=float)
@@ -93,8 +76,6 @@ class ProblemInstance:
 
     @property
     def min_sep(self):
-        if self.config is not None:
-            return self.config.min_sep
         if self.constraints.n_separations:
             return float(self.constraints.sep_dist.max())
         return DEFAULT_MIN_SEP
@@ -124,37 +105,28 @@ def physics_aware_init(n, seed, min_sep=DEFAULT_MIN_SEP):
     return centers + rng.uniform(-jitter, jitter, size=(n, POSITION_DIM))
 
 
-def generate_instance(n, seed, cfg=None):
-    """Deterministic instance: same (n, seed, cfg) gives identical output."""
+def generate_instance(n, seed):
+    """Deterministic instance: same (n, seed) gives identical output."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    cfg = cfg or GeneratorConfig()
     rng = np.random.default_rng(seed)
 
     states = np.empty((n, STATE_DIM))
     states[:, :POSITION_DIM] = rng.uniform(0.0, 1.0, size=(n, POSITION_DIM))
     states[:, POSITION_DIM:] = rng.uniform(
-        -cfg.off_scale, cfg.off_scale, size=(n, STATE_DIM - POSITION_DIM))
+        -OFF_SCALE, OFF_SCALE, size=(n, STATE_DIM - POSITION_DIM))
 
-    n_anchor = int(math.ceil(cfg.anchor_fraction * n))
+    n_anchor = int(math.ceil(ANCHOR_FRACTION * n))
     anchors = {}
     for v in range(n_anchor):
         ref = states[v].copy()
         ref[:POSITION_DIM] = rng.uniform(0.0, 1.0, size=POSITION_DIM)
         anchors[v] = ref
 
-    separations = [(a, b, cfg.min_sep)
+    separations = [(a, b, DEFAULT_MIN_SEP)
                    for a in range(n) for b in range(a + 1, n)]
-    n_ord = n - 1 if cfg.n_orderings is None else min(cfg.n_orderings, n - 1)
-    orderings = [(i, i + 1, cfg.ordering_axis, cfg.ordering_margin)
-                 for i in range(n_ord)]
-
-    # grid mode replaces positions after all draws so the constraint content
-    # is identical between init modes for the same seed
-    if cfg.init_mode == "grid":
-        states[:, :POSITION_DIM] = physics_aware_init(n, seed, cfg.min_sep)
-
+    orderings = [(i, i + 1, 0, 0.0) for i in range(n - 1)]
     cs = ConstraintSet.build(n, anchors=anchors, separations=separations,
                              orderings=orderings)
     return ProblemInstance(n=n, initial_states=states, constraints=cs,
-                           seed=seed, config=cfg)
+                           seed=seed)

@@ -37,11 +37,12 @@ step's secant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
 from . import constraints as C
-from .curvature import ETA_MAX, ETA_MIN, GAMMA, node_step_scales
+from .curvature import node_step_scales
 from .delta import DEFAULT_CLIP, DEFAULT_EPSILON, DeltaParams, delta_step
 from .errors import DivergenceError
 from .graphs import STATE_DIM, build_graph
@@ -52,7 +53,10 @@ ROW_FIELDS = ("l_total", "l_data", "l_phys", "l_logic", "grad_max",
 
 @dataclass
 class ProjectionConfig:
-    """Knobs of the inner loop; the booleans are the ablation axes."""
+    """Knobs of the inner loop; the booleans are the ablation axes.
+
+    epsilon, the gradient norm below which a node is not stepped, is fixed.
+    """
 
     alpha: float = 0.01
     tau: float = 1e-6
@@ -61,11 +65,8 @@ class ProjectionConfig:
     use_delta: bool = True
     use_curvature: bool = True
     norm: str = C.MSE
-    epsilon: float = DEFAULT_EPSILON
     state_clip: tuple | None = DEFAULT_CLIP
-    gamma: float = GAMMA
-    eta_min: float = ETA_MIN
-    eta_max: float = ETA_MAX
+    epsilon: ClassVar[float] = DEFAULT_EPSILON
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -101,14 +102,6 @@ class ProjectionTrace:
         default_factory=lambda: np.empty((0, 0, STATE_DIM)))
     sweeps_evaluated: int = 0
     failure: str | None = None
-
-    def as_rows(self):
-        """Rows (iteration, L_total, L_data, L_phys, L_logic, grad_max, grad_mean)."""
-        return [
-            (t + 1, self.l_total[t], self.l_data[t], self.l_phys[t],
-             self.l_logic[t], self.grad_max[t], self.grad_mean[t])
-            for t in range(self.iterations_run)
-        ]
 
 
 _STEP_FAILED = "rank-one step met an overflowed gradient"
@@ -157,8 +150,7 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
             clipped = grad * scale[..., None]
         if cfg.use_curvature:
             graph = build_graph(s)
-            eta, _ = node_step_scales(graph, cfg.gamma, cfg.eta_min,
-                                      cfg.eta_max)
+            eta, _ = node_step_scales(graph)
         else:
             eta = np.ones(norms.shape)
         step = cfg.alpha * eta[..., None] * clipped

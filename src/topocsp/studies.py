@@ -4,12 +4,15 @@ Every study is deterministic given its spec: per-run seeds derive from
 sha256(master_seed, variant, n, index), each run is isolated (a failing run
 becomes a failed row, never an aborted study), and results land as CSV plus
 a JSON copy of the spec so the study can be rerun from its output directory.
+The seeds, scaling and ablation studies share one run loop and one writer;
+their summary files are strict JSON, with null for a non-finite value.
 """
 from __future__ import annotations
 
 import csv
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -54,10 +57,13 @@ class StudySpec:
     def __post_init__(self):
         self.sizes = tuple(int(n) for n in self.sizes)
         self.variants = tuple(self.variants)
-        if self.study not in ("seeds", "scaling", "ablation", "trace"):
-            raise ValueError(f"unknown study {self.study!r}")
+        if self.study not in STUDIES:
+            raise ValueError(f"unknown study {self.study!r}; "
+                             f"choose from {sorted(STUDIES)}")
         if self.n_seeds < 1:
             raise ValueError("n_seeds must be >= 1")
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
         if not self.sizes:
             raise ValueError("sizes must be non-empty")
         if any(n < 2 for n in self.sizes):
@@ -103,14 +109,53 @@ def _write_csv(path, header, rows):
     return str(path)
 
 
-def _run_one(vc, n, run_seed, budget):
-    """One isolated run; returns (SolveResult or None, failed flag)."""
-    try:
-        inst = generate_instance(n, run_seed)
-        res = solve(inst, vc, budget=budget, seed=run_seed)
-        return res, res.diverged
-    except Exception:
-        return None, True
+def _json_safe(value):
+    """A summary with every non-finite number replaced by None."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write(spec, name, header, rows, summary, n_failed):
+    """Write <name>.csv, <name>_summary.json and spec.json to the out dir."""
+    out = Path(spec.out_dir)
+    csv_path = _write_csv(out / f"{name}.csv", header, rows)
+    summary_path = out / f"{name}_summary.json"
+    with open(summary_path, "w") as f:
+        json.dump(_json_safe(summary), f, indent=2, allow_nan=False)
+    spec.save(out / "spec.json")
+    return StudyReport(rows=rows, summary=summary, n_failed=n_failed,
+                       out_files=[csv_path, str(summary_path),
+                                  str(out / "spec.json")])
+
+
+def _variant_config(name):
+    return variant(name) if name in PRESETS else VariantConfig(name=name)
+
+
+def _runs(spec, vc, n):
+    """The spec's isolated runs of vc at size n, as (run seed, SolveResult
+    or None when the run raised)."""
+    runs = []
+    for i in range(spec.n_seeds):
+        run_seed = derive_seed(spec.master_seed, vc.canonical_name, n, i)
+        try:
+            res = solve(generate_instance(n, run_seed), vc,
+                        budget=spec.budget, seed=run_seed)
+        except Exception:
+            res = None
+        runs.append((run_seed, res))
+    return runs
+
+
+def _n_failed(runs):
+    return sum(res is None or res.diverged for _, res in runs)
+
+
+def _mean(values):
+    return float(np.mean(values)) if values else float("nan")
 
 
 def _mean_std(values):
@@ -120,42 +165,32 @@ def _mean_std(values):
     return float(vals.mean()), float(vals.std())
 
 
+def _summary(runs):
+    """Mean and std of the finite final energies, and the success rate over
+    all runs, a raised run counting as a failure."""
+    mean, std = _mean_std([res.final_energy for _, res in runs
+                           if res is not None])
+    return {"mean_energy": mean, "std_energy": std,
+            "success_rate": float(np.mean([res is not None and res.success
+                                           for _, res in runs]))}
+
+
 def run_seed_study(spec):
     """Per-(variant, seed) rows at a single size, plus per-variant summary."""
-    out = Path(spec.out_dir)
     n = spec.sizes[0]
     rows = []
     summary = {}
     n_failed = 0
     for name in spec.variants:
-        vc = variant(name) if name in PRESETS else VariantConfig(name=name)
-        energies, successes = [], []
-        for i in range(spec.n_seeds):
-            run_seed = derive_seed(spec.master_seed, vc.canonical_name, n, i)
-            res, failed = _run_one(vc, n, run_seed, spec.budget)
-            n_failed += int(failed)
-            if res is None:
-                rows.append((name, run_seed, float("nan"), 0, 0, 0.0))
-                successes.append(False)
-                continue
-            rows.append((name, run_seed, res.final_energy, res.steps,
+        runs = _runs(spec, _variant_config(name), n)
+        n_failed += _n_failed(runs)
+        for run_seed, res in runs:
+            rows.append((name, run_seed, float("nan"), 0, 0, 0.0)
+                        if res is None else
+                        (name, run_seed, res.final_energy, res.steps,
                          int(res.success), res.wall_time))
-            energies.append(res.final_energy)
-            successes.append(res.success)
-        mean, std = _mean_std(energies)
-        summary[name] = {
-            "mean_energy": mean,
-            "std_energy": std,
-            "success_rate": float(np.mean(successes)),
-        }
-    files = [_write_csv(out / "seeds.csv", SEEDS_HEADER, rows)]
-    with open(out / "seeds_summary.json", "w") as f:
-        json.dump(summary, f, indent=2)
-    files.append(str(out / "seeds_summary.json"))
-    spec.save(out / "spec.json")
-    files.append(str(out / "spec.json"))
-    return StudyReport(rows=rows, summary=summary, n_failed=n_failed,
-                       out_files=files)
+        summary[name] = _summary(runs)
+    return _write(spec, "seeds", SEEDS_HEADER, rows, summary, n_failed)
 
 
 def fit_time_exponent(sizes, times):
@@ -170,49 +205,29 @@ def fit_time_exponent(sizes, times):
 
 def run_scaling_study(spec):
     """Per-size aggregates for the first listed variant (default v2)."""
-    out = Path(spec.out_dir)
     name = spec.variants[0]
-    vc = variant(name) if name in PRESETS else VariantConfig(name=name)
+    vc = _variant_config(name)
     rows = []
     n_failed = 0
     mean_times = []
     for n in spec.sizes:
-        energies, steps, times, grads, succ, viol = [], [], [], [], [], []
-        for i in range(spec.n_seeds):
-            run_seed = derive_seed(spec.master_seed, vc.canonical_name, n, i)
-            res, failed = _run_one(vc, n, run_seed, spec.budget)
-            n_failed += int(failed)
-            if res is None:
-                succ.append(False)
-                continue
-            energies.append(res.final_energy)
-            steps.append(res.steps)
-            times.append(res.wall_time)
-            grads.append(float(res.trace.grad_mean.mean())
-                         if res.trace.n_steps else 0.0)
-            succ.append(res.success)
-            viol.append(res.violations.combined)
-        mean_e, std_e = _mean_std(energies)
-        mean_t = float(np.mean(times)) if times else float("nan")
+        runs = _runs(spec, vc, n)
+        n_failed += _n_failed(runs)
+        done = [res for _, res in runs if res is not None]
+        grads = [float(res.trace.grad_mean.mean())
+                 if res.trace.n_steps else 0.0 for res in done]
+        summ = _summary(runs)
+        mean_t = _mean([res.wall_time for res in done])
         mean_times.append(mean_t)
-        rows.append((n, mean_e, std_e,
-                     float(np.mean(steps)) if steps else float("nan"),
-                     mean_t,
-                     float(np.mean(grads)) if grads else float("nan"),
-                     float(np.mean(succ)),
-                     float(np.mean(viol)) if viol else float("nan")))
+        rows.append((n, summ["mean_energy"], summ["std_energy"],
+                     _mean([res.steps for res in done]), mean_t, _mean(grads),
+                     summ["success_rate"],
+                     _mean([res.violations.combined for res in done])))
     exponent = fit_time_exponent(spec.sizes, mean_times)
     summary = {"variant": name, "time_exponent": exponent,
                "per_size": {str(r[0]): {"mean_energy": r[1],
                                         "success_rate": r[6]} for r in rows}}
-    files = [_write_csv(out / "scaling.csv", SCALING_HEADER, rows)]
-    with open(out / "scaling_summary.json", "w") as f:
-        json.dump(summary, f, indent=2)
-    files.append(str(out / "scaling_summary.json"))
-    spec.save(out / "spec.json")
-    files.append(str(out / "spec.json"))
-    return StudyReport(rows=rows, summary=summary, n_failed=n_failed,
-                       out_files=files)
+    return _write(spec, "scaling", SCALING_HEADER, rows, summary, n_failed)
 
 
 def ablation_configs():
@@ -250,26 +265,17 @@ def run_ablation(spec):
     telescopes to baseline mean - full mean) and full-row mean minus this
     row's mean for the removal rows (negative = removing it hurt).
     """
-    out = Path(spec.out_dir)
     n = spec.sizes[0]
     rows = []
     n_failed = 0
     means = []
     for label, vc in ablation_configs():
-        energies, successes = [], []
-        for i in range(spec.n_seeds):
-            run_seed = derive_seed(spec.master_seed, vc.canonical_name, n, i)
-            res, failed = _run_one(vc, n, run_seed, spec.budget)
-            n_failed += int(failed)
-            if res is None:
-                successes.append(False)
-                continue
-            energies.append(res.final_energy)
-            successes.append(res.success)
-        mean, std = _mean_std(energies)
-        means.append(mean)
-        rows.append([label, vc.canonical_name, mean, std,
-                     float(np.mean(successes)), 0.0])
+        runs = _runs(spec, vc, n)
+        n_failed += _n_failed(runs)
+        summ = _summary(runs)
+        means.append(summ["mean_energy"])
+        rows.append([label, vc.canonical_name, summ["mean_energy"],
+                     summ["std_energy"], summ["success_rate"], 0.0])
     full_mean = means[6]
     for i in range(1, 7):
         rows[i][5] = means[i - 1] - means[i]
@@ -282,15 +288,8 @@ def run_ablation(spec):
         "rows": {r[0]: {"mean_energy": r[2], "delta_energy": r[5]}
                  for r in rows},
     }
-    files = [_write_csv(out / "ablation.csv", ABLATION_HEADER,
-                        [tuple(r) for r in rows])]
-    with open(out / "ablation_summary.json", "w") as f:
-        json.dump(summary, f, indent=2)
-    files.append(str(out / "ablation_summary.json"))
-    spec.save(out / "spec.json")
-    files.append(str(out / "spec.json"))
-    return StudyReport(rows=[tuple(r) for r in rows], summary=summary,
-                       n_failed=n_failed, out_files=files)
+    return _write(spec, "ablation", ABLATION_HEADER,
+                  [tuple(r) for r in rows], summary, n_failed)
 
 
 def trace_rows(result: SolveResult):
@@ -323,10 +322,7 @@ def run_stability_study(n=6, n_seeds=20, budget=DEFAULT_BUDGET,
     energy_increase_events, lambda_max, cond, mean_energy}}.
     """
     full = variant("v2")
-    no_delta = VariantConfig(name="full-delta", use_mse=True,
-                             use_grad_clip=True, use_physics_init=True,
-                             use_delta=False, use_curvature=True,
-                             use_cmaes=True)
+    no_delta = dict(ablation_configs())["full-delta"]
     seeds = [derive_seed(master_seed, "v2", n, i) for i in range(n_seeds)]
     out = {}
     for label, vc in (("full", full), ("no-delta", no_delta)):
@@ -345,3 +341,8 @@ def run_stability_study(n=6, n_seeds=20, budget=DEFAULT_BUDGET,
             "mean_energy": float(np.mean([st.final_energy for st in stats])),
         }
     return out
+
+
+# the runner of each study that StudySpec.study can name
+STUDIES = {"seeds": run_seed_study, "scaling": run_scaling_study,
+           "ablation": run_ablation}

@@ -106,8 +106,7 @@ def gradient_step_target(states, cs, weights, cfg):
         g = g * np.minimum(1.0, cfg.grad_clip / norms)[:, None]
     eta = np.ones(states.shape[0])
     if cfg.use_curvature:
-        eta, _ = node_step_scales(build_graph(states), cfg.gamma,
-                                  cfg.eta_min, cfg.eta_max)
+        eta, _ = node_step_scales(build_graph(states))
     return g, states - cfg.alpha * eta[:, None] * g
 
 

@@ -125,6 +125,18 @@ def test_bench_ablation(tmp_path, capsys):
     assert len(rows) - 1 == 10
 
 
+@pytest.mark.parametrize("study,budget", [("seeds", "0"), ("scaling", "-5"),
+                                          ("ablation", "0")])
+def test_bench_rejects_budget_below_one(tmp_path, capsys, study, budget):
+    out = tmp_path / "out"
+    code, _, err = run_main(["bench", study, "--out", str(out), "--n", "3",
+                             "--sizes", "2,3", "--seeds", "2",
+                             "--budget", budget], capsys)
+    assert code == 1
+    assert "budget must be >= 1" in err
+    assert not out.exists()
+
+
 def test_bench_requires_out(capsys):
     code, _, err = run_main(["bench", "seeds"], capsys)
     assert code == 1

@@ -102,18 +102,21 @@ def test_tell_moves_mean_toward_better():
     assert np.linalg.norm(st.mean - target) < np.linalg.norm(m_before - target)
 
 
-def test_mu_one_override():
-    st = cma_init(3, np.zeros(3), 0.5, lambda_pop=2)
-    assert st.lambda_pop == 2
-    assert st.mu == 1
-    assert np.array_equal(st.weights, [1.0])
+def test_rank_mu_covariance_oracle():
+    # after one tell at the default population the covariance is the rank-mu
+    # estimate sum_i w_i z_i z_i^T over the mu best candidates, with
+    # z_i = (theta_i - m_old) / sigma taken around the old mean
+    m0 = np.array([0.5, -1.0, 2.0])
+    st = cma_init(3, m0, 0.5)
+    assert st.lambda_pop == default_population(3) == 7
+    assert st.mu == 3
     rng = np.random.default_rng(3)
     cands = cma_ask(st, rng)
-    cma_tell(st, cands, [sphere(c) for c in cands])
-    # mean jumps to the single selected candidate
-    best = min(cands, key=sphere)
-    z = (best - np.zeros(3)) / 0.5
-    assert np.allclose(st.cov, np.outer(z, z), atol=1e-12)
+    fits = [sphere(c) for c in cands]
+    cma_tell(st, cands, fits)
+    z = (cands[np.argsort(fits)[:st.mu]] - m0) / 0.5
+    expect = sum(w * np.outer(zi, zi) for w, zi in zip(st.weights, z))
+    assert np.max(np.abs(st.cov - expect)) < 1e-12
 
 
 def test_sampling_covariance_statistics():

@@ -223,18 +223,6 @@ def test_deterministic_repeat(rng):
     assert np.array_equal(tr1.grad_mean, tr2.grad_mean)
 
 
-def test_trace_rows_shape(rng):
-    states = random_states(rng, 4)
-    cs = random_constraint_set(rng, 4)
-    _, trace = project_states(states, cs, UNIT_WEIGHTS, 0.8,
-                              ProjectionConfig())
-    rows = trace.as_rows()
-    assert len(rows) == trace.iterations_run
-    for i, row in enumerate(rows, start=1):
-        assert row[0] == i
-        assert len(row) == 7
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ProjectionConfig(alpha=0.0)

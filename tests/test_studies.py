@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from topocsp import studies
 from topocsp.solver import variant, solve
 from topocsp.problems import generate_instance
 from topocsp.studies import (ABLATION_HEADER, SCALING_HEADER, SEEDS_HEADER,
@@ -47,6 +48,11 @@ def test_spec_validation():
         StudySpec(study="seeds", sizes=())
     with pytest.raises(ValueError):
         StudySpec(study="seeds", sizes=(1,))
+    with pytest.raises(ValueError):
+        StudySpec(study="trace")
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            StudySpec(study="seeds", budget=budget)
 
 
 def test_spec_json_round_trip(tmp_path):
@@ -180,6 +186,49 @@ def test_run_trace_writes_csv(tmp_path):
     header, file_rows = read_csv(out)
     assert tuple(header) == TRACE_HEADER
     assert len(file_rows) == len(rows) == res.steps
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    with open(path) as f:
+        return json.loads(f.read(), parse_constant=reject)
+
+
+def test_summary_files_write_non_finite_as_null(tmp_path, monkeypatch):
+    # one size leaves the time exponent undefined
+    spec = StudySpec(study="scaling", sizes=(3,), variants=("v2",),
+                     out_dir=str(tmp_path / "scaling"), **FAST)
+    rep = run_scaling_study(spec)
+    assert np.isnan(rep.summary["time_exponent"])
+    summary = _strict_json(tmp_path / "scaling" / "scaling_summary.json")
+    assert summary["time_exponent"] is None
+    assert summary["per_size"]["3"]["mean_energy"] == rep.rows[0][1]
+
+    # a group whose runs all fail has no mean energy
+    def fail(*args, **kwargs):
+        raise RuntimeError("run failed")
+    monkeypatch.setattr(studies, "solve", fail)
+    spec = StudySpec(study="seeds", sizes=(3,), variants=("v2",),
+                     out_dir=str(tmp_path / "seeds"), **FAST)
+    rep = run_seed_study(spec)
+    assert rep.n_failed == 2
+    assert np.isnan(rep.summary["v2"]["mean_energy"])
+    summary = _strict_json(tmp_path / "seeds" / "seeds_summary.json")
+    assert summary["v2"] == {"mean_energy": None, "std_energy": None,
+                             "success_rate": 0.0}
+
+
+def test_stability_no_delta_arm_is_ablation_full_delta(monkeypatch):
+    arms = []
+    real = studies.jacobian_stats
+
+    def record(inst, vc, **kwargs):
+        arms.append(vc)
+        return real(inst, vc, **kwargs)
+    monkeypatch.setattr(studies, "jacobian_stats", record)
+    run_stability_study(n=3, n_seeds=1, budget=2, master_seed=42)
+    assert arms == [variant("v2"), dict(ablation_configs())["full-delta"]]
 
 
 def test_stability_study_structure():
