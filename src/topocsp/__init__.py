@@ -24,7 +24,7 @@ from .projection import ProjectionConfig, ProjectionTrace, project_states
 from .solver import (SolveResult, VariantConfig, jacobian_stats, solve,
                      variant)
 from .studies import (StudySpec, derive_seed, run_ablation, run_scaling_study,
-                      run_seed_study, run_stability_study, run_trace)
+                      run_seed_study, run_stability_study)
 
 __version__ = "0.1.0"
 
@@ -44,5 +44,5 @@ __all__ = [
     "ProjectionConfig", "ProjectionTrace", "project_states",
     "SolveResult", "VariantConfig", "jacobian_stats", "solve", "variant",
     "StudySpec", "derive_seed", "run_ablation", "run_scaling_study",
-    "run_seed_study", "run_stability_study", "run_trace",
+    "run_seed_study", "run_stability_study",
 ]

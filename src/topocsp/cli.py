@@ -20,8 +20,8 @@ from .graphs import build_graph
 from .problems import generate_instance, ProblemInstance
 from .solver import DEFAULT_BUDGET, PRESETS, solve, variant
 from .studies import (DEFAULT_MASTER_SEED, DEFAULT_SIZES,
-                      SEED_STUDY_VARIANTS, STUDIES, StudySpec, trace_rows,
-                      TRACE_HEADER)
+                      SEED_STUDY_VARIANTS, STUDIES, StudySpec, TRACE_HEADER,
+                      _write_csv, trace_rows)
 
 USAGE_EXIT = 1
 FAILED_RUNS_EXIT = 2
@@ -87,12 +87,7 @@ def _cmd_solve(args):
     res = solve(inst, vc, budget=args.budget, seed=args.seed)
 
     if args.trace is not None:
-        import csv
-
-        with open(args.trace, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(TRACE_HEADER)
-            w.writerows(trace_rows(res))
+        _write_csv(args.trace, TRACE_HEADER, trace_rows(res))
 
     payload = {
         "n": inst.n,
@@ -101,6 +96,7 @@ def _cmd_solve(args):
         "e_final": res.final_energy,
         "steps": res.steps,
         "generations": res.generations,
+        "stopped_by": res.stopped_by,
         "success": res.success,
         "wall_time": res.wall_time,
         "energy_increase_events": res.energy_increase_events,

@@ -15,6 +15,12 @@ Minimal CMA-ES for low-dimensional hyperparameter search:
 
 No rank-one path update, no restarts. Lower fitness is better; ties are
 broken by candidate index; non-finite fitness ranks last.
+
+Two stagnation stops (TolHistFun and TolFun in Hansen's tutorial,
+arXiv:1604.00772): `cma_optimize` stops when the per-generation best fitness
+spans less than STAGNATION_EPS over STAGNATION_WINDOW generations, and the
+solver's search stops after STALL_GENERATIONS generations in a row without
+a gain of STALL_REL (see `stall_count`).
 """
 from __future__ import annotations
 
@@ -26,6 +32,8 @@ import numpy as np
 EIGENVALUE_FLOOR = 1e-10
 STAGNATION_WINDOW = 20
 STAGNATION_EPS = 1e-12
+STALL_GENERATIONS = 5
+STALL_REL = 1e-3
 
 HISTORY_HEADER = ("generation", "best_fitness", "mean_fitness", "sigma")
 
@@ -143,6 +151,16 @@ def cma_tell(state, candidates, fitnesses):
     state.cov = cov_new
     state.generation += 1
     return state
+
+
+def stall_count(stall, best, value):
+    """Generations in a row without a gain, after one that reached value.
+
+    The generation gains when value lowers best, the best value before it,
+    by more than STALL_REL of best; a search stops once the count reaches
+    STALL_GENERATIONS.
+    """
+    return 0 if value < best * (1.0 - STALL_REL) else stall + 1
 
 
 @dataclass

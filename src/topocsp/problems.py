@@ -30,7 +30,6 @@ class ProblemInstance:
     n: int
     initial_states: np.ndarray
     constraints: ConstraintSet
-    seed: int | None = None
 
     def __post_init__(self):
         states = np.asarray(self.initial_states, dtype=float)
@@ -128,5 +127,4 @@ def generate_instance(n, seed):
     orderings = [(i, i + 1, 0, 0.0) for i in range(n - 1)]
     cs = ConstraintSet.build(n, anchors=anchors, separations=separations,
                              orderings=orderings)
-    return ProblemInstance(n=n, initial_states=states, constraints=cs,
-                           seed=seed)
+    return ProblemInstance(n=n, initial_states=states, constraints=cs)

@@ -13,7 +13,9 @@ normalization.
 
 A small divergence guard keeps adopted energies from climbing: after three
 consecutive increases the step size is halved and the states revert to the
-best snapshot seen so far.
+best snapshot seen so far. The search stops at the sweep budget, below
+DEEP_TOLERANCE, or once STALL_GENERATIONS generations in a row have not
+lowered the best energy by STALL_REL of itself (`cmaes.stall_count`).
 """
 from __future__ import annotations
 
@@ -23,8 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import constraints as C
-from .cmaes import (DEFAULT_SIGMA0, DEFAULT_THETA_MEAN, ParamEncoding,
-                    cma_ask, cma_init, cma_tell)
+from .cmaes import (DEFAULT_SIGMA0, DEFAULT_THETA_MEAN, STALL_GENERATIONS,
+                    ParamEncoding, cma_ask, cma_init, cma_tell, stall_count)
 from .errors import DivergenceError
 from .problems import physics_aware_init
 from .projection import (ROW_FIELDS, ProjectionConfig, grad_stats,
@@ -109,7 +111,13 @@ class SolveTrace:
 @dataclass
 class SolveResult:
     """One solve. steps counts adopted sweeps; sweeps_evaluated counts every
-    candidate sweep computed, leaving out rows copied at a fixed point."""
+    candidate sweep computed, leaving out rows copied at a fixed point.
+
+    stopped_by names why the run ended, in OptimizeResult's vocabulary:
+    "budget" (it used its sweep budget), "tolerance" (it reached
+    DEEP_TOLERANCE, or the projection converged), "stagnation" (the search
+    stopped gaining) or "diverged".
+    """
 
     final_states: np.ndarray
     final_energy: float
@@ -121,6 +129,7 @@ class SolveResult:
     violations: C.ViolationStats
     variant: VariantConfig
     seed: int
+    stopped_by: str
     energy_increase_events: int = 0
     guard_triggers: int = 0
     sweeps_evaluated: int = 0
@@ -201,6 +210,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     increases = 0
     adopted_energies = []
     diverged = False
+    converged = False
     failure = None
     cma_history = []
     adopted_params = []
@@ -208,7 +218,9 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     if vc.use_cmaes:
         st = cma_init(ParamEncoding.DIM, DEFAULT_THETA_MEAN, DEFAULT_SIGMA0)
         rng = np.random.default_rng(seed)
-        while acc.steps < budget and best_energy >= DEEP_TOLERANCE:
+        stall = 0
+        while (acc.steps < budget and best_energy >= DEEP_TOLERANCE
+               and stall < STALL_GENERATIONS):
             thetas = cma_ask(st, rng)
             params = [ParamEncoding.decode(raw) for raw in thetas]
             batch = np.broadcast_to(states, (len(params),) + states.shape)
@@ -254,6 +266,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
                 increases = 0
             e_curr = e_new
             adopted_energies.append(e_curr)
+            stall = stall_count(stall, best_energy, e_curr)
             if e_curr < best_energy:
                 best_energy = e_curr
                 best_states = states.copy()
@@ -282,11 +295,17 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
                 best_energy = e_curr
                 best_states = states.copy()
             if trace.converged or e_curr < DEEP_TOLERANCE:
+                converged = True
                 break
 
     trace = acc.build()
     final_states = best_states
     final_energy = float(best_energy)
+    # a fixed-weight run never stalls: its loop ends only at the budget,
+    # the tolerance or a divergence
+    stopped_by = ("diverged" if diverged else
+                  "tolerance" if converged or best_energy < DEEP_TOLERANCE else
+                  "budget" if acc.steps >= budget else "stagnation")
     return SolveResult(
         final_states=final_states,
         final_energy=final_energy,
@@ -298,6 +317,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         violations=C.violation_stats(final_states, cs),
         variant=vc,
         seed=seed,
+        stopped_by=stopped_by,
         energy_increase_events=events,
         guard_triggers=guard_triggers,
         sweeps_evaluated=sweeps_evaluated,

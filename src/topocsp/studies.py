@@ -1,11 +1,12 @@
-"""Benchmark studies: seed robustness, scaling, ablation, stability, traces.
+"""Benchmark studies: seed robustness, scaling, ablation, stability.
 
 Every study is deterministic given its spec: per-run seeds derive from
 sha256(master_seed, variant, n, index), each run is isolated (a failing run
 becomes a failed row, never an aborted study), and results land as CSV plus
 a JSON copy of the spec so the study can be rerun from its output directory.
 The seeds, scaling and ablation studies share one run loop and one writer;
-their summary files are strict JSON, with null for a non-finite value.
+their summary files are strict JSON, with null for a non-finite value, and
+list each failed run with its reason.
 """
 from __future__ import annotations
 
@@ -91,12 +92,17 @@ class StudySpec:
 
 @dataclass
 class StudyReport:
-    """Rows written, per-group summary, and how many runs errored."""
+    """Rows written, per-group summary, and the runs that failed, each as
+    {variant, n, seed, error}."""
 
     rows: list
     summary: dict
-    n_failed: int
+    failures: list
     out_files: list = field(default_factory=list)
+
+    @property
+    def n_failed(self):
+        return len(self.failures)
 
 
 def _write_csv(path, header, rows):
@@ -118,15 +124,17 @@ def _json_safe(value):
     return value
 
 
-def _write(spec, name, header, rows, summary, n_failed):
-    """Write <name>.csv, <name>_summary.json and spec.json to the out dir."""
+def _write(spec, name, header, rows, summary, failures):
+    """Write <name>.csv, <name>_summary.json (the summary plus a failures
+    list) and spec.json to the out dir."""
     out = Path(spec.out_dir)
     csv_path = _write_csv(out / f"{name}.csv", header, rows)
     summary_path = out / f"{name}_summary.json"
     with open(summary_path, "w") as f:
-        json.dump(_json_safe(summary), f, indent=2, allow_nan=False)
+        json.dump(_json_safe({**summary, "failures": failures}), f, indent=2,
+                  allow_nan=False)
     spec.save(out / "spec.json")
-    return StudyReport(rows=rows, summary=summary, n_failed=n_failed,
+    return StudyReport(rows=rows, summary=summary, failures=failures,
                        out_files=[csv_path, str(summary_path),
                                   str(out / "spec.json")])
 
@@ -135,23 +143,24 @@ def _variant_config(name):
     return variant(name) if name in PRESETS else VariantConfig(name=name)
 
 
-def _runs(spec, vc, n):
+def _runs(spec, vc, n, failures):
     """The spec's isolated runs of vc at size n, as (run seed, SolveResult
-    or None when the run raised)."""
+    or None when the run raised). Appends each raised or diverged run to
+    failures, with the exception's type and message or the divergence."""
     runs = []
     for i in range(spec.n_seeds):
         run_seed = derive_seed(spec.master_seed, vc.canonical_name, n, i)
         try:
             res = solve(generate_instance(n, run_seed), vc,
                         budget=spec.budget, seed=run_seed)
-        except Exception:
-            res = None
+            error = f"diverged: {res.failure}" if res.diverged else None
+        except Exception as err:
+            res, error = None, f"{type(err).__name__}: {err}"
+        if error is not None:
+            failures.append({"variant": vc.name, "n": n, "seed": run_seed,
+                             "error": error})
         runs.append((run_seed, res))
     return runs
-
-
-def _n_failed(runs):
-    return sum(res is None or res.diverged for _, res in runs)
 
 
 def _mean(values):
@@ -180,17 +189,16 @@ def run_seed_study(spec):
     n = spec.sizes[0]
     rows = []
     summary = {}
-    n_failed = 0
+    failures = []
     for name in spec.variants:
-        runs = _runs(spec, _variant_config(name), n)
-        n_failed += _n_failed(runs)
+        runs = _runs(spec, _variant_config(name), n, failures)
         for run_seed, res in runs:
             rows.append((name, run_seed, float("nan"), 0, 0, 0.0)
                         if res is None else
                         (name, run_seed, res.final_energy, res.steps,
                          int(res.success), res.wall_time))
         summary[name] = _summary(runs)
-    return _write(spec, "seeds", SEEDS_HEADER, rows, summary, n_failed)
+    return _write(spec, "seeds", SEEDS_HEADER, rows, summary, failures)
 
 
 def fit_time_exponent(sizes, times):
@@ -208,11 +216,10 @@ def run_scaling_study(spec):
     name = spec.variants[0]
     vc = _variant_config(name)
     rows = []
-    n_failed = 0
+    failures = []
     mean_times = []
     for n in spec.sizes:
-        runs = _runs(spec, vc, n)
-        n_failed += _n_failed(runs)
+        runs = _runs(spec, vc, n, failures)
         done = [res for _, res in runs if res is not None]
         grads = [float(res.trace.grad_mean.mean())
                  if res.trace.n_steps else 0.0 for res in done]
@@ -227,7 +234,7 @@ def run_scaling_study(spec):
     summary = {"variant": name, "time_exponent": exponent,
                "per_size": {str(r[0]): {"mean_energy": r[1],
                                         "success_rate": r[6]} for r in rows}}
-    return _write(spec, "scaling", SCALING_HEADER, rows, summary, n_failed)
+    return _write(spec, "scaling", SCALING_HEADER, rows, summary, failures)
 
 
 def ablation_configs():
@@ -267,11 +274,10 @@ def run_ablation(spec):
     """
     n = spec.sizes[0]
     rows = []
-    n_failed = 0
+    failures = []
     means = []
     for label, vc in ablation_configs():
-        runs = _runs(spec, vc, n)
-        n_failed += _n_failed(runs)
+        runs = _runs(spec, vc, n, failures)
         summ = _summary(runs)
         means.append(summ["mean_energy"])
         rows.append([label, vc.canonical_name, summ["mean_energy"],
@@ -289,7 +295,7 @@ def run_ablation(spec):
                  for r in rows},
     }
     return _write(spec, "ablation", ABLATION_HEADER,
-                  [tuple(r) for r in rows], summary, n_failed)
+                  [tuple(r) for r in rows], summary, failures)
 
 
 def trace_rows(result: SolveResult):
@@ -300,17 +306,6 @@ def trace_rows(result: SolveResult):
          t.grad_max[i], t.grad_mean[i])
         for i in range(t.n_steps)
     ]
-
-
-def run_trace(n, seed, variant_name, budget=DEFAULT_BUDGET, out_csv=None):
-    """Single-run loss/gradient trace; optionally written as CSV."""
-    vc = variant(variant_name)
-    inst = generate_instance(n, seed)
-    res = solve(inst, vc, budget=budget, seed=seed)
-    rows = trace_rows(res)
-    if out_csv is not None:
-        _write_csv(out_csv, TRACE_HEADER, rows)
-    return res, rows
 
 
 def run_stability_study(n=6, n_seeds=20, budget=DEFAULT_BUDGET,

@@ -46,6 +46,20 @@ def test_solve_writes_trace(tmp_path, capsys):
     assert len(rows) - 1 == payload["steps"]
 
 
+def test_solve_trace_goes_through_the_study_writer(tmp_path, capsys):
+    # the study CSV writer also makes the missing parent directory
+    trace = tmp_path / "traces" / "v2.csv"
+    code, out, _ = run_main(["solve", "--n", "4", "--seed", "3",
+                             "--variant", "v2", "--budget", "40",
+                             "--trace", str(trace)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    with open(trace, newline="") as f:
+        rows = list(csv.reader(f))
+    assert tuple(rows[0]) == TRACE_HEADER
+    assert len(rows) - 1 == payload["steps"]
+
+
 def test_solve_dump_curvature(capsys):
     code, out, _ = run_main(["solve", "--n", "3", "--seed", "1",
                              "--variant", "baseline", "--budget", "10",

@@ -1,8 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from topocsp.constraints import ConstraintSet
-from topocsp.problems import ProblemInstance, generate_instance
+from topocsp.cmaes import STALL_GENERATIONS, STALL_REL
+from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, ConstraintSet,
+                                 total_energy)
+from topocsp.problems import (ProblemInstance, generate_instance,
+                              physics_aware_init)
 from topocsp.solver import (GUARD_PATIENCE, PRESETS, JacobianStats,
                             VariantConfig, jacobian_stats, solve,
                             update_map_jacobian, variant)
@@ -175,3 +180,49 @@ def test_non_finite_start_energy_rejected():
     for name in PRESETS:
         with pytest.raises(ValueError, match="start energy"):
             solve(inst, variant(name), budget=10, seed=0)
+
+
+def test_search_stops_when_it_stalls():
+    inst = generate_instance(6, seed=0)
+    res = solve(inst, variant("v2"), budget=500, seed=0)
+    assert res.stopped_by == "stagnation"
+    assert res.steps < 500
+    # replay the rule from the start energy: the run without a gain reaches
+    # STALL_GENERATIONS at the last generation and not before
+    start = np.array(inst.initial_states)
+    start[:, :3] = physics_aware_init(6, 0, inst.min_sep)
+    best = total_energy(start, inst.constraints, DEFAULT_WEIGHTS, MSE)
+    run, runs = 0, []
+    for e in res.adopted_energies:
+        run = 0 if e < best * (1.0 - STALL_REL) else run + 1
+        best = min(best, e)
+        runs.append(run)
+    assert len(runs) == res.generations
+    assert runs[-1] == STALL_GENERATIONS
+    assert max(runs[:-1]) < STALL_GENERATIONS
+
+
+def test_stopped_by_names_the_stop():
+    v2 = variant("v2")
+    assert solve(generate_instance(6, seed=1), v2, seed=1).stopped_by == \
+        "tolerance"
+    assert solve(generate_instance(6, seed=0), v2, budget=20,
+                 seed=0).stopped_by == "budget"
+    for name in ("baseline", "v1"):
+        stops = {solve(generate_instance(6, seed=s), variant(name), budget=b,
+                       seed=s).stopped_by for s in range(4) for b in (30, 500)}
+        assert stops == {"budget", "tolerance"}
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("baseline",
+     "aceeb7fd748a21a372d628f64dcf1b7f8a64151b2e04d28c1a4d53b6fb48a029"),
+    ("v1",
+     "c822a6c97a78242ec21305431719d87024862f96c6812f04bbcd32e8d3a99a8d"),
+], ids=["baseline", "v1"])
+def test_fixed_variants_unchanged_at_n20(name, digest):
+    # sha256 of the final states at the default budget, recorded before the
+    # search got its stall stop: the fixed-weight path runs no search
+    res = solve(generate_instance(20, seed=5), variant(name), seed=5)
+    states = np.ascontiguousarray(res.final_states, dtype="<f8")
+    assert hashlib.sha256(states.tobytes()).hexdigest() == digest

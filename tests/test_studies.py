@@ -12,7 +12,7 @@ from topocsp.studies import (ABLATION_HEADER, SCALING_HEADER, SEEDS_HEADER,
                              TRACE_HEADER, StudySpec, ablation_configs,
                              derive_seed, fit_time_exponent, run_ablation,
                              run_scaling_study, run_seed_study,
-                             run_stability_study, run_trace, trace_rows)
+                             run_stability_study, trace_rows)
 
 FAST = dict(n_seeds=2, budget=30, master_seed=42)
 
@@ -179,15 +179,6 @@ def test_trace_rows_match_steps():
     assert all(len(r) == len(TRACE_HEADER) for r in rows)
 
 
-def test_run_trace_writes_csv(tmp_path):
-    out = tmp_path / "trace.csv"
-    res, rows = run_trace(3, seed=1, variant_name="baseline", budget=20,
-                          out_csv=out)
-    header, file_rows = read_csv(out)
-    assert tuple(header) == TRACE_HEADER
-    assert len(file_rows) == len(rows) == res.steps
-
-
 def _strict_json(path):
     def reject(token):
         raise ValueError(f"non-standard JSON constant {token}")
@@ -217,6 +208,40 @@ def test_summary_files_write_non_finite_as_null(tmp_path, monkeypatch):
     summary = _strict_json(tmp_path / "seeds" / "seeds_summary.json")
     assert summary["v2"] == {"mean_energy": None, "std_energy": None,
                              "success_rate": 0.0}
+
+
+def test_summary_lists_each_failed_run(tmp_path, monkeypatch):
+    real = studies.solve
+    bad_seed = derive_seed(42, "v2", 3, 1)
+
+    def fail_one(inst, vc, budget, seed):
+        if seed == bad_seed:
+            raise RuntimeError("no luck for this seed")
+        return real(inst, vc, budget=budget, seed=seed)
+    monkeypatch.setattr(studies, "solve", fail_one)
+    for study, runner in (("seeds", run_seed_study),
+                          ("scaling", run_scaling_study),
+                          ("ablation", run_ablation)):
+        out = tmp_path / study
+        spec = StudySpec(study=study, sizes=(3,), variants=("v2",),
+                         out_dir=str(out), **FAST)
+        rep = runner(spec)
+        want = [{"variant": "full" if study == "ablation" else "v2", "n": 3,
+                 "seed": bad_seed,
+                 "error": "RuntimeError: no luck for this seed"}]
+        assert rep.failures == want
+        assert rep.n_failed == 1
+        summary = _strict_json(out / f"{study}_summary.json")
+        assert summary["failures"] == want
+        assert "failures" not in rep.summary
+
+    # a study where nothing failed writes an empty list
+    monkeypatch.setattr(studies, "solve", real)
+    spec = StudySpec(study="seeds", sizes=(3,), variants=("baseline",),
+                     out_dir=str(tmp_path / "clean"), **FAST)
+    assert run_seed_study(spec).failures == []
+    assert _strict_json(tmp_path / "clean" / "seeds_summary.json")[
+        "failures"] == []
 
 
 def test_stability_no_delta_arm_is_ablation_full_delta(monkeypatch):
