@@ -25,8 +25,8 @@ g = build_graph(states)
 print(f"\ncomplete graph: {g.n_nodes} nodes, {g.n_edges} edges")
 
 kappa = all_edge_curvatures(g)
-for (u, v), k, w in list(zip(g.edges, kappa, g.weights))[:5]:
-    print(f"  edge ({u},{v})  w={w:.3f}  curvature={k:+.3f}")
+for (u, v), k in list(zip(g.edges, kappa))[:5]:
+    print(f"  edge ({u},{v})  w={g.weights[u, v]:.3f}  curvature={k:+.3f}")
 
 # negative curvature marks bottlenecks, positive marks dense well-connected
 # regions; the solver damps steps where curvature is high and lengthens
@@ -38,7 +38,9 @@ for node in report.to_json_dict()["nodes"]:
           f" -> scale {node['scale']:.3f}")
 
 # a sparse topology changes the picture: chain graphs curve negative
-edges = np.array([(i, i + 1) for i in range(5)])
-chain = SemanticGraph(states, edges, np.array(
-    [edge_weight(states[u], states[v]) for u, v in edges]))
+# a graph is its weight matrix, positive exactly on the edges
+w = np.zeros((6, 6))
+for i in range(5):
+    w[i, i + 1] = w[i + 1, i] = edge_weight(states[i], states[i + 1])
+chain = SemanticGraph(w)
 print("\nchain curvatures:", np.round(all_edge_curvatures(chain), 3))

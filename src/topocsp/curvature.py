@@ -8,8 +8,10 @@ where e' ~ e ranges over edges sharing exactly one endpoint with e. Positive
 curvature marks dense neighborhoods, negative curvature marks bottlenecks.
 Per-node step scales shrink steps in positive-curvature regions and enlarge
 them in negative ones, by the fixed law clamp(exp(-GAMMA * mean kappa),
-ETA_MIN, ETA_MAX). A batched graph gets one curvature row and one
-step-scale row per batch row.
+ETA_MIN, ETA_MAX). One operator evaluates kappa over the dense weight
+matrix, for all node pairs at once, and every entry point reads it. A
+batched graph gets one curvature matrix and one step-scale row per batch
+row.
 """
 from __future__ import annotations
 
@@ -24,43 +26,43 @@ ETA_MIN = 0.25
 ETA_MAX = 2.0
 
 
-def _node_sums(edges, values, n):
-    """Per-node sums of per-edge values (..., E) over incident edges, (..., n).
+def _curvature(graph):
+    """Curvature matrix kappa (..., n, n), zero off the edges, and the
+    degrees (..., n) as floats."""
+    w = graph.weights
+    deg = graph.degrees().astype(float)
+    # an isolated node lies on no edge, so its degree only needs to be
+    # nonzero here: w is zero on every entry of its row and column
+    d = np.maximum(deg, 1.0)
+    du, dv = d[..., :, None], d[..., None, :]
+    # the edges adjacent to e=(u, v) are the incident edges of u and of v
+    # minus e itself at each end; dividing by sqrt(du dv) once, and not by
+    # each sqrt, keeps the unit triangle at exactly 0
+    wsum = w.sum(axis=-1)
+    adj = (wsum[..., :, None] - w) + (wsum[..., None, :] - w)
+    return w * (1.0 / du + 1.0 / dv - adj / np.sqrt(du * dv)), deg
 
-    Each node adds its terms in edge order, first as the u end and then as
-    the v end, in one bincount over all batch rows.
-    """
-    lead = values.shape[:-1]
-    if edges.shape[0] == 0:
-        return np.zeros(lead + (n,))
-    rows = int(np.prod(lead))
-    nodes = np.arange(rows)[:, None] * n + edges.T.ravel()
-    both = np.concatenate([values, values], axis=-1)
-    return np.bincount(nodes.ravel(), both.ravel(),
-                       minlength=rows * n).reshape(lead + (n,))
+
+def _scales(kappa, deg):
+    """(step scales, mean incident curvature) per node, (..., n) each."""
+    acc = kappa.sum(axis=-1)
+    mean = np.divide(acc, deg, out=np.zeros(acc.shape), where=deg > 0)
+    return np.clip(np.exp(-GAMMA * mean), ETA_MIN, ETA_MAX), mean
 
 
 def all_edge_curvatures(graph):
     """Curvature of every edge, (..., E), aligned with graph.edges."""
-    edges = graph.edges
-    w = graph.weights
-    if edges.shape[0] == 0:
-        return np.empty(w.shape)
-    deg = graph.degrees().astype(float)
-    # sum of incident weights per node; edges adjacent to e=(u,v) are the
-    # incident edges of u and v minus e itself at each endpoint
-    wsum = _node_sums(edges, w, graph.n_nodes)
-    du = deg[edges[:, 0]]
-    dv = deg[edges[:, 1]]
-    adj = (wsum[..., edges[:, 0]] - w) + (wsum[..., edges[:, 1]] - w)
-    return w * (1.0 / du + 1.0 / dv - adj / np.sqrt(du * dv))
+    u, v = graph.edges.T
+    return _curvature(graph)[0][..., u, v]
 
 
 def forman_ricci(graph, edge):
-    """Curvature of a single edge (u, v)."""
+    """Curvature of a single edge (u, v) of an unbatched graph."""
     u, v = edge
-    idx = graph.edge_index(u, v)  # raises TopologyError if absent
-    return float(all_edge_curvatures(graph)[idx])
+    n = graph.n_nodes
+    if not (0 <= u < n and 0 <= v < n) or graph.weights[u, v] <= 0:
+        raise TopologyError(f"edge ({u}, {v}) not in graph")
+    return float(_curvature(graph)[0][u, v])
 
 
 def node_step_scales(graph):
@@ -70,12 +72,7 @@ def node_step_scales(graph):
     The mean runs over edges incident to v; isolated nodes get mean 0 and a
     neutral scale of 1. Both results are (..., n), one row per batch row.
     """
-    kappa = all_edge_curvatures(graph)
-    n = graph.n_nodes
-    cnt = graph.degrees().astype(float)
-    acc = _node_sums(graph.edges, kappa, n)
-    mean = np.divide(acc, cnt, out=np.zeros(acc.shape), where=cnt > 0)
-    return np.clip(np.exp(-GAMMA * mean), ETA_MIN, ETA_MAX), mean
+    return _scales(*_curvature(graph))
 
 
 @dataclass
@@ -86,13 +83,6 @@ class CurvatureReport:
     curvature: np.ndarray
     node_mean_curvature: np.ndarray
     node_scale: np.ndarray
-
-    def per_edge(self):
-        return {(int(u), int(v)): float(k)
-                for (u, v), k in zip(self.edges, self.curvature)}
-
-    def per_node_scale(self):
-        return {i: float(s) for i, s in enumerate(self.node_scale)}
 
     def to_json_dict(self):
         return {
@@ -115,10 +105,12 @@ def curvature_step_scales(graph):
     """Full curvature report for a graph."""
     if graph.n_nodes < 1:
         raise TopologyError("graph has no nodes")
-    scale, mean = node_step_scales(graph)
+    kappa, deg = _curvature(graph)
+    scale, mean = _scales(kappa, deg)
+    edges = graph.edges
     return CurvatureReport(
-        edges=graph.edges,
-        curvature=all_edge_curvatures(graph),
+        edges=edges,
+        curvature=kappa[..., edges[:, 0], edges[:, 1]],
         node_mean_curvature=mean,
         node_scale=scale,
     )

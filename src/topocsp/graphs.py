@@ -2,19 +2,17 @@
 
 A node state is a 64-vector split into bound (16), form (32) and intent (16)
 blocks. Edges carry affinity weights derived from cosine similarity of the
-endpoint states, mapped to (0, 1] with a small positive floor. The solver
-builds the complete graph, over one state array or a batch (P, n, 64) of
-them: one edge list, and one weight row per batch row. SemanticGraph also
-holds any other edge list built by hand.
+endpoint states, mapped to (0, 1] with a small positive floor. A graph is
+its dense weight matrix, positive exactly on the edges. The solver builds
+the complete graph, over one state array or a batch (P, n, 64) of them:
+one (P, n, n) weight matrix. SemanticGraph also holds any other weight
+matrix built by hand.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-
-from .errors import TopologyError
 
 STATE_DIM = 64
 
@@ -57,44 +55,32 @@ def pairwise_weights(states):
 
 @dataclass
 class SemanticGraph:
-    """Immutable-by-convention graph: states (n, 64), edges (E, 2), weights (E,).
+    """Immutable-by-convention graph: weights (n, n), symmetric, zero on the
+    diagonal and positive exactly on the edges.
 
-    Edge rows are (u, v) with u < v, sorted lexicographically. A batched
-    graph has states (P, n, 64) and weights (P, E) over the one edge list.
+    A batched graph has weights (P, n, n), one matrix per batch row.
     """
 
-    states: np.ndarray
-    edges: np.ndarray
     weights: np.ndarray
 
     @property
     def n_nodes(self):
-        return self.states.shape[-2]
+        return self.weights.shape[-1]
+
+    @property
+    def edges(self):
+        """(E, 2) rows (u, v) with u < v, sorted lexicographically; a batched
+        graph lists the edges of any of its rows."""
+        adj = self.weights > 0
+        return np.argwhere(np.triu(adj.any(axis=tuple(range(adj.ndim - 2)))))
 
     @property
     def n_edges(self):
         return self.edges.shape[0]
 
     def degrees(self):
-        """Unweighted incident-edge count per node."""
-        return np.bincount(self.edges.ravel(), minlength=self.n_nodes)
-
-    def edge_index(self, u, v):
-        """Row index of edge (u, v) in either orientation."""
-        a, b = (u, v) if u < v else (v, u)
-        hit = np.nonzero((self.edges[:, 0] == a) & (self.edges[:, 1] == b))[0]
-        if hit.size == 0:
-            raise TopologyError(f"edge ({u}, {v}) not in graph")
-        return int(hit[0])
-
-
-@lru_cache(maxsize=None)
-def _complete_edges(n):
-    """Edge list of the complete graph on n nodes, shared read-only."""
-    u, v = np.triu_indices(n, k=1)
-    edges = np.column_stack([u, v]).astype(int)
-    edges.flags.writeable = False
-    return edges
+        """Unweighted incident-edge count per node, (..., n)."""
+        return np.count_nonzero(self.weights > 0, axis=-1)
 
 
 def build_graph(states):
@@ -108,7 +94,4 @@ def build_graph(states):
         raise ValueError("need at least one state")
     if not np.all(np.isfinite(states)):
         raise ValueError("states must be finite")
-    edges = _complete_edges(n)
-    w = pairwise_weights(states)
-    return SemanticGraph(states=states, edges=edges,
-                         weights=w[..., edges[:, 0], edges[:, 1]])
+    return SemanticGraph(weights=pairwise_weights(states))

@@ -74,6 +74,9 @@ class StudySpec:
         d = asdict(self)
         d["sizes"] = list(self.sizes)
         d["variants"] = list(self.variants)
+        if self.study == "ablation":
+            # run_ablation runs its own ten configurations
+            del d["variants"]
         return d
 
     @classmethod

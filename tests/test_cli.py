@@ -9,7 +9,7 @@ import pytest
 
 from topocsp.cli import main
 from topocsp.problems import generate_instance
-from topocsp.studies import TRACE_HEADER
+from topocsp.studies import TRACE_HEADER, StudySpec
 
 
 def run_main(argv, capsys):
@@ -137,6 +137,11 @@ def test_bench_ablation(tmp_path, capsys):
     with open(tmp_path / "ablation.csv", newline="") as f:
         rows = list(csv.reader(f))
     assert len(rows) - 1 == 10
+    # the ablation runs its own configurations, so its spec names no variants
+    with open(tmp_path / "spec.json") as f:
+        spec = json.load(f)
+    assert "variants" not in spec
+    assert StudySpec.from_json_dict(spec).study == "ablation"
 
 
 @pytest.mark.parametrize("study,budget", [("seeds", "0"), ("scaling", "-5"),

