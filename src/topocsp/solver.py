@@ -1,21 +1,23 @@
 """Outer optimization loop and the three benchmark variants.
 
-With the evolution strategy enabled, each outer generation samples a small
-population of (loss weights, gating scalar) candidates, runs the inner
+Every variant runs one generation loop. Each generation runs the inner
 projection loop on one batch holding a copy of the current states per
-candidate, scores each end state under the fixed reference weights (from
-the family losses of its last sweep), adopts the best candidate's states,
-and feeds the ranking back to the strategy. The reference-weighted
-gradient norms of the trace are computed for the adopted candidate only.
-Without it, the inner loop simply repeats with fixed parameters. Reported
+candidate (loss weights, gating scalar), scores each end state under the
+fixed reference weights (from the family losses of its last sweep), and
+adopts the best candidate's states. With the evolution strategy enabled,
+the candidates are a small population sampled from it, the ranking is fed
+back to it, and the reference-weighted gradient norms of the trace are
+computed for the adopted candidate only. Without it, the one candidate is
+the reference weights with DEFAULT_BETA, every generation. Reported
 energies always use the reference weights under the variant's own
 normalization.
 
-A small divergence guard keeps adopted energies from climbing: after three
-consecutive increases the step size is halved and the states revert to the
-best snapshot seen so far. The search stops at the sweep budget, below
-DEEP_TOLERANCE, or once STALL_GENERATIONS generations in a row have not
-lowered the best energy by STALL_REL of itself (`cmaes.stall_count`).
+A run stops at the sweep budget or below DEEP_TOLERANCE. The search also
+has a small divergence guard that keeps adopted energies from climbing:
+after three consecutive increases the step size is halved and the states
+revert to the best snapshot seen so far. It stops once STALL_GENERATIONS
+generations in a row have not lowered the best energy by STALL_REL of
+itself (`cmaes.stall_count`).
 """
 from __future__ import annotations
 
@@ -115,8 +117,8 @@ class SolveResult:
 
     stopped_by names why the run ended, in OptimizeResult's vocabulary:
     "budget" (it used its sweep budget), "tolerance" (it reached
-    DEEP_TOLERANCE, or the projection converged), "stagnation" (the search
-    stopped gaining) or "diverged".
+    DEEP_TOLERANCE), "stagnation" (the search stopped gaining) or
+    "diverged".
     """
 
     final_states: np.ndarray
@@ -203,100 +205,82 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         raise ValueError(f"start energy is not finite: {e_curr}")
     best_states = states.copy()
     best_energy = e_curr
-    generations = 0
     sweeps_evaluated = 0
     events = 0
     guard_triggers = 0
     increases = 0
+    stall = 0
     adopted_energies = []
     diverged = False
-    converged = False
     failure = None
     cma_history = []
     adopted_params = []
 
-    if vc.use_cmaes:
+    search = vc.use_cmaes
+    if search:
         st = cma_init(ParamEncoding.DIM, DEFAULT_THETA_MEAN, DEFAULT_SIGMA0)
         rng = np.random.default_rng(seed)
-        stall = 0
-        while (acc.steps < budget and best_energy >= DEEP_TOLERANCE
-               and stall < STALL_GENERATIONS):
+    else:
+        params = [(ref.as_array(), DEFAULT_BETA)]
+    while (acc.steps < budget and best_energy >= DEEP_TOLERANCE
+           and stall < STALL_GENERATIONS):
+        if search:
             thetas = cma_ask(st, rng)
             params = [ParamEncoding.decode(raw) for raw in thetas]
-            batch = np.broadcast_to(states, (len(params),) + states.shape)
-            outs, traces = project_states(
-                batch, cs, np.array([lam for lam, _ in params]),
-                np.array([beta for _, beta in params]), cfg)
-            sweeps_evaluated += sum(tr.sweeps_evaluated for tr in traces)
-            # a diverged candidate scores +inf and ranks last
-            fits = np.array([np.inf if tr.failure is not None else
-                             ref.data * tr.l_data[-1]
-                             + ref.phys * tr.l_phys[-1]
-                             + ref.logic * tr.l_logic[-1] for tr in traces])
+        batch = np.broadcast_to(states, (len(params),) + states.shape)
+        outs, traces = project_states(
+            batch, cs, np.array([lam for lam, _ in params]),
+            np.array([beta for _, beta in params]), cfg)
+        sweeps_evaluated += sum(tr.sweeps_evaluated for tr in traces)
+        # a diverged candidate scores +inf and ranks last
+        fits = np.array([np.inf if tr.failure is not None else
+                         ref.data * tr.l_data[-1]
+                         + ref.phys * tr.l_phys[-1]
+                         + ref.logic * tr.l_logic[-1] for tr in traces])
+        if search:
             cma_tell(st, thetas, fits)
-            generations += 1
-            best_i = int(np.argmin(fits))
-            trace = traces[best_i]
-            if trace.failure is not None:
-                diverged = True
+        best_i = int(np.argmin(fits))
+        trace = traces[best_i]
+        lambdas, beta = params[best_i]
+        if trace.failure is not None:
+            diverged = True
+            if search:
                 failure = "all candidates diverged"
-                break
-            lambdas, beta = params[best_i]
-            states = outs[best_i].copy()
+            else:  # the fixed run keeps the rows swept before it failed
+                failure = trace.failure
+                acc.extend(trace, lambdas, beta)
+            break
+        states = outs[best_i].copy()
+        if search:
             trace.grad_max, trace.grad_mean = grad_stats(
                 trace.start_states, cs, ref, norm)
-            acc.extend(trace, lambdas, beta)
-            del outs, traces, trace  # free the batch before the next one
-            adopted_params.append((lambdas, beta))
-            cma_history.append((st.generation, float(fits[best_i]),
-                                float(np.mean(fits[np.isfinite(fits)]))
-                                if np.any(np.isfinite(fits)) else float("inf"),
-                                st.sigma))
-            e_new = float(fits[best_i])
-            if e_new > e_curr + _EVENT_EPS:
-                events += 1
-                increases += 1
-                if increases >= GUARD_PATIENCE:
-                    st.sigma *= 0.5
-                    states = best_states.copy()
-                    e_new = best_energy
-                    increases = 0
-                    guard_triggers += 1
-            else:
+        acc.extend(trace, lambdas, beta)
+        del outs, traces, trace  # free the batch before the next one
+        adopted_params.append((lambdas, beta))
+        e_new = float(fits[best_i])
+        if search:
+            finite = fits[np.isfinite(fits)]
+            cma_history.append((st.generation, e_new,
+                                float(np.mean(finite)) if finite.size
+                                else float("inf"), st.sigma))
+        if e_new > e_curr + _EVENT_EPS:
+            events += 1
+            increases += 1
+            if search and increases >= GUARD_PATIENCE:
+                st.sigma *= 0.5
+                states = best_states.copy()
+                e_new = best_energy
                 increases = 0
-            e_curr = e_new
-            adopted_energies.append(e_curr)
+                guard_triggers += 1
+        else:
+            increases = 0
+        e_curr = e_new
+        adopted_energies.append(e_curr)
+        if search:
             stall = stall_count(stall, best_energy, e_curr)
-            if e_curr < best_energy:
-                best_energy = e_curr
-                best_states = states.copy()
-    else:
-        lambdas = ref.as_array()
-        beta = DEFAULT_BETA
-        while acc.steps < budget:
-            try:
-                states, trace = project_states(states, cs, ref, beta, cfg)
-            except DivergenceError as err:
-                diverged = True
-                failure = str(err)
-                sweeps_evaluated += err.trace.sweeps_evaluated
-                if err.trace.iterations_run:
-                    acc.extend(err.trace, lambdas, beta)
-                break
-            sweeps_evaluated += trace.sweeps_evaluated
-            acc.extend(trace, lambdas, beta)
-            adopted_params.append((lambdas, beta))
-            e_new = float(trace.l_total[-1])  # the energy of `states`
-            if e_new > e_curr + _EVENT_EPS:
-                events += 1
-            e_curr = e_new
-            adopted_energies.append(e_curr)
-            if e_curr < best_energy:
-                best_energy = e_curr
-                best_states = states.copy()
-            if trace.converged or e_curr < DEEP_TOLERANCE:
-                converged = True
-                break
+        if e_curr < best_energy:
+            best_energy = e_curr
+            best_states = states.copy()
 
     trace = acc.build()
     final_states = best_states
@@ -304,13 +288,13 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     # a fixed-weight run never stalls: its loop ends only at the budget,
     # the tolerance or a divergence
     stopped_by = ("diverged" if diverged else
-                  "tolerance" if converged or best_energy < DEEP_TOLERANCE else
+                  "tolerance" if best_energy < DEEP_TOLERANCE else
                   "budget" if acc.steps >= budget else "stagnation")
     return SolveResult(
         final_states=final_states,
         final_energy=final_energy,
         steps=acc.steps,
-        generations=generations,
+        generations=st.generation if search else 0,
         wall_time=time.perf_counter() - t0,
         success=(not diverged) and final_energy < SUCCESS_THRESHOLD,
         trace=trace,
@@ -335,38 +319,33 @@ def update_map_jacobian(states, cs, weights, beta, cfg, node, h=1e-5):
     """Central-difference Jacobian of one node's sweep update map.
 
     The map takes the node's own 64 coordinates to their post-sweep values
-    with every other node frozen at the given states.
+    with every other node frozen at the given states. All 2 * 64 shifted
+    states are swept as one batch; raises DivergenceError when the rank-one
+    step fails on any of them.
     """
     states = np.asarray(states, dtype=float)
     dim = states.shape[1]
-
-    def apply(x):
-        probe = states.copy()
-        probe[node] = x
-        out, _ = sweep_once(probe, cs, weights, beta, cfg)
-        return out[node]
-
-    x0 = states[node]
-    jac = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = h
-        jac[:, j] = (apply(x0 + e) - apply(x0 - e)) / (2.0 * h)
-    return jac
+    shifts = h * np.eye(dim)
+    probes = np.repeat(states[None], 2 * dim, axis=0)
+    probes[:dim, node] = states[node] + shifts
+    probes[dim:, node] = states[node] - shifts
+    out, stats = sweep_once(probes, cs, weights, beta, cfg)
+    if stats["diverged"].any():
+        raise DivergenceError("rank-one step met an overflowed gradient "
+                              "in an update-map probe")
+    # row j of the difference is column j of the Jacobian
+    return ((out[:dim, node] - out[dim:, node]) / (2.0 * h)).T
 
 
 @dataclass
 class JacobianStats:
     grad_max: float
     grad_mean: float
-    grad_var: float
     lambda_max_j: float
     cond_j: float
-    step_std: float
     divergence_flag: bool
     energy_increase_events: int
     final_energy: float
-    success: bool
 
 
 def jacobian_stats(inst, vc, budget=DEFAULT_BUDGET, seed=0, n_probes=5):
@@ -406,12 +385,9 @@ def jacobian_stats(inst, vc, budget=DEFAULT_BUDGET, seed=0, n_probes=5):
     return JacobianStats(
         grad_max=float(res.trace.grad_max.max()) if gm.size else 0.0,
         grad_mean=float(gm.mean()) if gm.size else 0.0,
-        grad_var=float(gm.var()) if gm.size else 0.0,
         lambda_max_j=lam_max,
         cond_j=cond,
-        step_std=float(res.trace.step_mean.std()) if gm.size else 0.0,
         divergence_flag=res.diverged,
         energy_increase_events=res.energy_increase_events,
         final_energy=res.final_energy,
-        success=res.success,
     )

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .problems import generate_instance
-from .solver import (DEFAULT_BUDGET, PRESETS, SolveResult, VariantConfig,
+from .solver import (DEFAULT_BUDGET, SolveResult, VariantConfig,
                      jacobian_stats, solve, variant)
 
 SEED_STUDY_VARIANTS = ("baseline", "v1", "v2")
@@ -69,6 +69,11 @@ class StudySpec:
             raise ValueError("sizes must be non-empty")
         if any(n < 2 for n in self.sizes):
             raise ValueError("all sizes must be >= 2")
+        for name in self.variants:
+            variant(name)  # raises ValueError for an unknown name
+        if self.study == "scaling":
+            # run_scaling_study runs only the first listed variant
+            self.variants = self.variants[:1]
 
     def to_json_dict(self):
         d = asdict(self)
@@ -142,10 +147,6 @@ def _write(spec, name, header, rows, summary, failures):
                                   str(out / "spec.json")])
 
 
-def _variant_config(name):
-    return variant(name) if name in PRESETS else VariantConfig(name=name)
-
-
 def _runs(spec, vc, n, failures):
     """The spec's isolated runs of vc at size n, as (run seed, SolveResult
     or None when the run raised). Appends each raised or diverged run to
@@ -194,7 +195,7 @@ def run_seed_study(spec):
     summary = {}
     failures = []
     for name in spec.variants:
-        runs = _runs(spec, _variant_config(name), n, failures)
+        runs = _runs(spec, variant(name), n, failures)
         for run_seed, res in runs:
             rows.append((name, run_seed, float("nan"), 0, 0, 0.0)
                         if res is None else
@@ -215,9 +216,10 @@ def fit_time_exponent(sizes, times):
 
 
 def run_scaling_study(spec):
-    """Per-size aggregates for the first listed variant (default v2)."""
+    """Per-size aggregates for the spec's one variant (baseline for a spec
+    built without `variants`; `topocsp bench scaling` passes v2)."""
     name = spec.variants[0]
-    vc = _variant_config(name)
+    vc = variant(name)
     rows = []
     failures = []
     mean_times = []

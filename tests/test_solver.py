@@ -3,11 +3,15 @@ import hashlib
 import numpy as np
 import pytest
 
+from topocsp import solver
 from topocsp.cmaes import STALL_GENERATIONS, STALL_REL
 from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, ConstraintSet,
-                                 total_energy)
+                                 LossWeights, total_energy)
+from topocsp.errors import DivergenceError
 from topocsp.problems import (ProblemInstance, generate_instance,
                               physics_aware_init)
+from topocsp.projection import (ROW_FIELDS, ProjectionConfig,
+                                project_states, sweep_once)
 from topocsp.solver import (GUARD_PATIENCE, PRESETS, JacobianStats,
                             VariantConfig, jacobian_stats, solve,
                             update_map_jacobian, variant)
@@ -59,16 +63,22 @@ def test_seed_determinism_bitwise():
 
 
 def test_already_satisfied_fast_exit():
+    # the positions are the grid start that v2 draws at seed 0, so every
+    # preset starts at zero energy and sweeps nothing
     states = np.zeros((2, 64))
-    states[1, 0] = 0.9
+    states[:, :3] = physics_aware_init(2, 0, 0.1)
     cs = ConstraintSet.build(n_nodes=2, anchors={0: states[0].copy()},
                              separations=[(0, 1, 0.1)],
-                             orderings=[(0, 1, 0, 0.5)])
+                             orderings=[(0, 1, 2, 0.5)])
     inst = ProblemInstance(n=2, initial_states=states, constraints=cs)
-    res = solve(inst, variant("baseline"), budget=100, seed=0)
-    assert res.success
-    assert res.final_energy == 0.0
-    assert res.steps <= 10
+    for name in PRESETS:
+        res = solve(inst, variant(name), budget=100, seed=0)
+        assert res.success
+        assert res.final_energy == 0.0
+        assert res.steps == 0
+        assert res.sweeps_evaluated == 0
+        assert res.stopped_by == "tolerance"
+        assert np.array_equal(res.final_states, states)
 
 
 def test_budget_and_trace_accounting():
@@ -133,13 +143,61 @@ def test_physics_init_respected():
 
 def test_update_map_jacobian_beta_zero_identity():
     inst = generate_instance(3, seed=6)
-    from topocsp.constraints import DEFAULT_WEIGHTS
-    from topocsp.projection import ProjectionConfig
     cfg = ProjectionConfig(use_curvature=False, state_clip=None)
     jac = update_map_jacobian(inst.initial_states, inst.constraints,
                               DEFAULT_WEIGHTS, beta=0.0, cfg=cfg, node=0)
     eig = np.linalg.eigvalsh((jac + jac.T) / 2)
     assert np.max(np.abs(eig - 1.0)) < 1e-6
+
+
+def per_probe_jacobian(states, cs, weights, beta, cfg, node, h=1e-5):
+    """Oracle: the update-map Jacobian from one single-array sweep per
+    shifted state, one column at a time."""
+    states = np.asarray(states, dtype=float)
+    dim = states.shape[1]
+
+    def apply(x):
+        probe = states.copy()
+        probe[node] = x
+        out, _ = sweep_once(probe, cs, weights, beta, cfg)
+        return out[node]
+
+    x0 = states[node]
+    jac = np.empty((dim, dim))
+    for j in range(dim):
+        e = np.zeros(dim)
+        e[j] = h
+        jac[:, j] = (apply(x0 + e) - apply(x0 - e)) / (2.0 * h)
+    return jac
+
+
+@pytest.mark.parametrize("use_delta", [True, False],
+                         ids=["delta", "no-delta"])
+def test_batched_jacobian_matches_per_probe_oracle(use_delta):
+    inst = generate_instance(5, seed=11)
+    cfg = ProjectionConfig(use_delta=use_delta)
+    weights = LossWeights(1.5, 8.0, 2.5)
+    for node in (0, 3):
+        want = per_probe_jacobian(inst.initial_states, inst.constraints,
+                                  weights, 0.7, cfg, node)
+        got = update_map_jacobian(inst.initial_states, inst.constraints,
+                                  weights, 0.7, cfg, node)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_jacobian_probe_divergence_raises():
+    # the overflow setup of test_projection's divergence test: a gradient
+    # entry past the float range leaves the rank-one step no direction
+    states = np.zeros((1, 64))
+    states[0, 0] = 0.3
+    ref = np.zeros(64)
+    ref[0] = 1.5e308
+    cs = ConstraintSet.build(n_nodes=1, anchors={0: ref},
+                             separations=[], orderings=[])
+    with pytest.raises(DivergenceError):
+        update_map_jacobian(states, cs, LossWeights(1.0, 1.0, 1.0), 0.8,
+                            ProjectionConfig(), node=0)
 
 
 def test_jacobian_stats_fields():
@@ -227,3 +285,66 @@ def test_fixed_variants_unchanged_at_n20(name, digest):
     res = solve(generate_instance(20, seed=5), variant(name), seed=5)
     states = np.ascontiguousarray(res.final_states, dtype="<f8")
     assert hashlib.sha256(states.tobytes()).hexdigest() == digest
+
+
+KEPT = 3  # trace rows a failed projection call leaves
+
+
+def fail_from_call(monkeypatch, k):
+    """Make solver.project_states fail every row from its k-th call on,
+    keeping the first KEPT rows of each trace; returns each call's traces."""
+    calls = []
+
+    def failing(batch, cs, weights, beta, cfg):
+        outs, traces = project_states(batch, cs, weights, beta, cfg)
+        calls.append(traces)
+        if len(calls) < k:
+            return outs, traces
+        for tr in traces:
+            for f in ROW_FIELDS:
+                setattr(tr, f, getattr(tr, f)[:KEPT])
+            tr.start_states = tr.start_states[:KEPT]
+            tr.iterations_run = KEPT
+            tr.failure = "energy became non-finite"
+        return np.full_like(outs, np.nan), traces
+    monkeypatch.setattr(solver, "project_states", failing)
+    return calls
+
+
+def test_fixed_run_divergence_keeps_its_partial_rows(monkeypatch):
+    calls = fail_from_call(monkeypatch, 2)
+    res = solve(generate_instance(6, seed=0), variant("baseline"), seed=0)
+    assert len(calls) == 2
+    first, failed = calls[0][0], calls[1][0]
+    assert first.iterations_run == 10
+    assert res.diverged
+    assert res.stopped_by == "diverged"
+    assert not res.success
+    assert res.failure == "energy became non-finite"
+    # the adopted call's rows, then the rows swept before the failure
+    assert res.steps == res.trace.n_steps == 10 + KEPT
+    assert np.array_equal(res.trace.step_mean,
+                          np.concatenate([first.step_mean, failed.step_mean]))
+    assert res.adopted_energies == [float(first.l_total[-1])]
+    assert res.final_energy == res.adopted_energies[0]
+    assert np.isfinite(res.final_states).all()
+
+
+def test_search_divergence_keeps_only_adopted_rows(monkeypatch):
+    calls = fail_from_call(monkeypatch, 2)
+    res = solve(generate_instance(6, seed=0), variant("v2"), seed=0)
+    assert len(calls) == 2
+    fits = [DEFAULT_WEIGHTS.as_array()
+            @ [tr.l_data[-1], tr.l_phys[-1], tr.l_logic[-1]]
+            for tr in calls[0]]
+    adopted = calls[0][int(np.argmin(fits))]
+    assert res.diverged
+    assert res.stopped_by == "diverged"
+    assert not res.success
+    assert res.failure == "all candidates diverged"
+    assert res.generations == 2
+    # no row of the failed generation is kept
+    assert res.steps == res.trace.n_steps == adopted.iterations_run
+    assert np.array_equal(res.trace.step_mean, adopted.step_mean)
+    assert len(res.adopted_energies) == 1
+    assert np.isfinite(res.final_states).all()

@@ -55,6 +55,13 @@ def test_spec_validation():
             StudySpec(study="seeds", budget=budget)
 
 
+def test_spec_rejects_unknown_variant():
+    # an unknown name must not run as an all-off configuration
+    for study in ("seeds", "scaling", "ablation"):
+        with pytest.raises(ValueError, match="unknown variant 'v3'"):
+            StudySpec(study=study, variants=("v2", "v3"))
+
+
 def test_spec_json_round_trip(tmp_path):
     spec = StudySpec(study="scaling", sizes=(2, 4), n_seeds=3,
                      out_dir=str(tmp_path), budget=50, master_seed=9)
@@ -106,6 +113,18 @@ def test_scaling_study_rows(tmp_path):
     summary = json.loads((tmp_path / "scaling_summary.json").read_text())
     assert "time_exponent" in summary
     assert report.summary["time_exponent"] == summary["time_exponent"]
+
+
+def test_scaling_spec_records_the_variant_that_ran(tmp_path):
+    spec = StudySpec(study="scaling", sizes=(2,), out_dir=str(tmp_path),
+                     variants=("v1", "v2"), **FAST)
+    report = run_scaling_study(spec)
+    written = json.loads((tmp_path / "spec.json").read_text())
+    assert written["variants"] == ["v1"]
+    assert report.summary["variant"] == "v1"
+    assert StudySpec.load(tmp_path / "spec.json") == spec
+    # a spec built without variants runs the first default, baseline
+    assert StudySpec(study="scaling").variants == ("baseline",)
 
 
 def test_fit_time_exponent_recovers_powers():
