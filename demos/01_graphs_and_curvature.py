@@ -30,10 +30,11 @@ for (u, v), k in list(zip(g.edges, kappa))[:5]:
 
 # negative curvature marks bottlenecks, positive marks dense well-connected
 # regions; the solver damps steps where curvature is high and lengthens
-# them where it is negative
+# them where it is negative; curvature_step_scales returns the JSON object
+# that `topocsp solve --dump-curvature` prints
 report = curvature_step_scales(g)
 print("\nper-node step scales (clamped to [0.25, 2]):")
-for node in report.to_json_dict()["nodes"]:
+for node in report["nodes"]:
     print(f"  node {node['id']}: mean curvature {node['mean_curvature']:+.3f}"
           f" -> scale {node['scale']:.3f}")
 

@@ -13,16 +13,15 @@ from .constraints import (ConstraintSet, DEFAULT_WEIGHTS, LossBreakdown,
                           violation_stats, SUCCESS_THRESHOLD)
 from .cmaes import (CmaState, OptimizeResult, ParamEncoding, cma_ask,
                     cma_init, cma_optimize, cma_tell)
-from .curvature import (CurvatureReport, all_edge_curvatures,
-                        curvature_step_scales, forman_ricci)
+from .curvature import (all_edge_curvatures, curvature_step_scales,
+                        forman_ricci)
 from .delta import DeltaParams, delta_step
 from .errors import (ConstraintError, DivergenceError, InfeasibleInitError,
                      TopologyError)
 from .graphs import STATE_DIM, SemanticGraph, build_graph, edge_weight
 from .problems import ProblemInstance, generate_instance, physics_aware_init
 from .projection import ProjectionConfig, ProjectionTrace, project_states
-from .solver import (SolveResult, VariantConfig, jacobian_stats, solve,
-                     variant)
+from .solver import SolveResult, VariantConfig, solve, variant
 from .studies import (StudySpec, derive_seed, run_ablation, run_scaling_study,
                       run_seed_study, run_stability_study)
 
@@ -34,15 +33,14 @@ __all__ = [
     "total_energy", "violation_stats", "SUCCESS_THRESHOLD",
     "CmaState", "OptimizeResult", "ParamEncoding", "cma_ask", "cma_init",
     "cma_optimize", "cma_tell",
-    "CurvatureReport", "all_edge_curvatures", "curvature_step_scales",
-    "forman_ricci",
+    "all_edge_curvatures", "curvature_step_scales", "forman_ricci",
     "DeltaParams", "delta_step",
     "ConstraintError", "DivergenceError", "InfeasibleInitError",
     "TopologyError",
     "STATE_DIM", "SemanticGraph", "build_graph", "edge_weight",
     "ProblemInstance", "generate_instance", "physics_aware_init",
     "ProjectionConfig", "ProjectionTrace", "project_states",
-    "SolveResult", "VariantConfig", "jacobian_stats", "solve", "variant",
+    "SolveResult", "VariantConfig", "solve", "variant",
     "StudySpec", "derive_seed", "run_ablation", "run_scaling_study",
     "run_seed_study", "run_stability_study",
 ]

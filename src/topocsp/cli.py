@@ -106,8 +106,8 @@ def _cmd_solve(args):
         "violations": asdict(res.violations),
     }
     if args.dump_curvature:
-        graph = build_graph(res.final_states)
-        payload["curvature"] = curvature_step_scales(graph).to_json_dict()
+        payload["curvature"] = curvature_step_scales(
+            build_graph(res.final_states))
     # serialised whole before writing, so a non-finite value prints nothing
     sys.stdout.write(json.dumps(payload, indent=2, allow_nan=False) + "\n")
     return FAILED_RUNS_EXIT if res.diverged else 0

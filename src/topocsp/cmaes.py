@@ -35,8 +35,6 @@ STAGNATION_EPS = 1e-12
 STALL_GENERATIONS = 5
 STALL_REL = 1e-3
 
-HISTORY_HEADER = ("generation", "best_fitness", "mean_fitness", "sigma")
-
 
 def default_population(d):
     """lambda_pop = 4 + floor(3 ln d)."""

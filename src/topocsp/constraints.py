@@ -91,20 +91,18 @@ class ConstraintSet:
         """Build from mapping/sequence forms.
 
         anchors: {id: 64-vector}; separations: [(a, b, min_dist)];
-        orderings: [(a, b, axis, margin)].
+        orderings: [(a, b, axis, margin)]. Raises ConstraintError when
+        n_nodes, a node id or an axis is not a whole number, or a row does
+        not hold that many numbers.
         """
         anchors = anchors or {}
-        separations = separations or []
-        orderings = orderings or []
         ids = sorted(int(k) for k in anchors)
         refs = (np.array([np.asarray(anchors[i], dtype=float) for i in ids])
                 if ids else np.empty((0, STATE_DIM)))
-        sep = np.array([(int(a), int(b), float(d)) for a, b, d in separations],
-                       dtype=float).reshape(-1, 3)
-        orde = np.array([(int(a), int(b), int(ax), float(m))
-                         for a, b, ax, m in orderings], dtype=float).reshape(-1, 4)
+        sep = _table(separations or [], 3, "separation")
+        orde = _table(orderings or [], 4, "ordering")
         return cls(
-            n_nodes=int(n_nodes),
+            n_nodes=_whole(n_nodes, "n_nodes"),
             anchor_ids=np.array(ids, dtype=int),
             anchor_refs=refs,
             sep_a=sep[:, 0].astype(int), sep_b=sep[:, 1].astype(int),
@@ -175,6 +173,36 @@ class ConstraintSet:
         raise ConstraintError(f"unknown normalization {norm!r}")
 
 
+def _whole(x, what):
+    """x as an int; raises ConstraintError unless x is a whole number."""
+    try:
+        v = float(x)
+    except (TypeError, ValueError):
+        v = float("nan")
+    if not v.is_integer():
+        raise ConstraintError(f"{what} must be a whole number, got {x!r}")
+    return int(v)
+
+
+def _table(rows, width, name):
+    """Constraint rows as a float (R, width) array. Every entry but the
+    last (node ids, and an ordering's axis) must be a whole number."""
+    try:
+        table = [[float(x) for x in row] for row in rows]
+    except (TypeError, ValueError):
+        table = None
+    if table is None or any(len(r) != width for r in table):
+        raise ConstraintError(f"each {name} must be {width} numbers")
+    table = np.array(table, dtype=float).reshape(-1, width)
+    ids = table[:, :-1]
+    bad = ~(np.isfinite(ids) & (np.floor(ids) == ids)).all(axis=1)
+    if bad.any():
+        raise ConstraintError(
+            f"{name} {table[np.argmax(bad)].tolist()} has a node id or axis "
+            f"that is not a whole number")
+    return table
+
+
 @dataclass
 class LossBreakdown:
     """Family losses, their weighted total, and the gradient of the total."""
@@ -183,7 +211,6 @@ class LossBreakdown:
     l_phys: float
     l_logic: float
     l_total: float
-    norm: str
     grad: np.ndarray
 
 
@@ -293,8 +320,8 @@ def loss_components(states, cs, norm=MSE, weights=None):
     total = w[:, 0] * l_data + w[:, 1] * l_phys + w[:, 2] * l_logic
     if single:
         return LossBreakdown(float(l_data[0]), float(l_phys[0]),
-                             float(l_logic[0]), float(total[0]), norm, grad[0])
-    return LossBreakdown(l_data, l_phys, l_logic, total, norm, grad)
+                             float(l_logic[0]), float(total[0]), grad[0])
+    return LossBreakdown(l_data, l_phys, l_logic, total, grad)
 
 
 def total_energy(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):

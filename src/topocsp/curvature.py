@@ -15,8 +15,6 @@ row.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import TopologyError
@@ -75,42 +73,19 @@ def node_step_scales(graph):
     return _scales(*_curvature(graph))
 
 
-@dataclass
-class CurvatureReport:
-    """Per-edge curvature plus per-node step scales, JSON-serializable."""
-
-    edges: np.ndarray
-    curvature: np.ndarray
-    node_mean_curvature: np.ndarray
-    node_scale: np.ndarray
-
-    def to_json_dict(self):
-        return {
-            "edges": [
-                {"u": int(u), "v": int(v), "curvature": float(k)}
-                for (u, v), k in zip(self.edges, self.curvature)
-            ],
-            "nodes": [
-                {"id": i, "mean_curvature": float(m), "scale": float(s)}
-                for i, (m, s) in enumerate(
-                    zip(self.node_mean_curvature, self.node_scale))
-            ],
-            "gamma": GAMMA,
-            "eta_min": ETA_MIN,
-            "eta_max": ETA_MAX,
-        }
-
-
 def curvature_step_scales(graph):
-    """Full curvature report for a graph."""
+    """Per-edge curvature and per-node mean curvature and step scale of an
+    unbatched graph, with the law's constants, as a JSON object."""
     if graph.n_nodes < 1:
         raise TopologyError("graph has no nodes")
     kappa, deg = _curvature(graph)
     scale, mean = _scales(kappa, deg)
-    edges = graph.edges
-    return CurvatureReport(
-        edges=edges,
-        curvature=kappa[..., edges[:, 0], edges[:, 1]],
-        node_mean_curvature=mean,
-        node_scale=scale,
-    )
+    return {
+        "edges": [{"u": int(u), "v": int(v), "curvature": float(kappa[u, v])}
+                  for u, v in graph.edges],
+        "nodes": [{"id": i, "mean_curvature": float(m), "scale": float(s)}
+                  for i, (m, s) in enumerate(zip(mean, scale))],
+        "gamma": GAMMA,
+        "eta_min": ETA_MIN,
+        "eta_max": ETA_MAX,
+    }

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import POSITION_DIM, ConstraintSet
-from .errors import InfeasibleInitError
+from .errors import ConstraintError, InfeasibleInitError
 from .graphs import STATE_DIM
 
 DEFAULT_MIN_SEP = 0.1
@@ -53,16 +53,24 @@ class ProblemInstance:
 
     @classmethod
     def from_json_dict(cls, d):
-        n = int(d["n"])
+        """Instance from its JSON object; raises a ValueError when the
+        object or one of its parts has the wrong type or shape."""
+        if not isinstance(d, dict):
+            raise ValueError("an instance must be a JSON object")
+        for key, kind, name in (("anchors", dict, "object"),
+                                ("separations", list, "array"),
+                                ("orderings", list, "array")):
+            if not isinstance(d.get(key, kind()), kind):
+                raise ConstraintError(f"{key} must be a JSON {name}")
         states = np.asarray(d["states"], dtype=float)
         cs = ConstraintSet.build(
-            n,
+            d["n"],
             anchors={int(k): np.asarray(v, dtype=float)
                      for k, v in d.get("anchors", {}).items()},
             separations=d.get("separations", []),
             orderings=d.get("orderings", []),
         )
-        return cls(n=n, initial_states=states, constraints=cs)
+        return cls(n=cs.n_nodes, initial_states=states, constraints=cs)
 
     def save(self, path):
         with open(path, "w") as f:

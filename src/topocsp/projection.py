@@ -97,7 +97,6 @@ class ProjectionTrace:
     grad_mean: np.ndarray = field(default_factory=lambda: np.empty(0))
     step_mean: np.ndarray = field(default_factory=lambda: np.empty(0))
     iterations_run: int = 0
-    converged: bool = False
     start_states: np.ndarray = field(
         default_factory=lambda: np.empty((0, 0, STATE_DIM)))
     sweeps_evaluated: int = 0
@@ -221,7 +220,6 @@ def project_states(states, cs, weights, beta, cfg):
     starts = np.empty((t_max,) + s.shape)
     done = np.zeros(p_count, dtype=int)  # trace rows per batch row
     evaluated = np.zeros(p_count, dtype=int)  # set as each row leaves
-    converged = np.zeros(p_count, dtype=bool)
     failure = {}
     live = np.arange(p_count)
     sel = slice(None)  # indexes the live rows; a slice until one leaves
@@ -246,7 +244,6 @@ def project_states(states, cs, weights, beta, cfg):
         evaluated[gone] = t + 1
         done[gone] = t + 1 - st["diverged"][leave]
         ok = np.isfinite(total) & ~st["diverged"]
-        converged[gone] = (ok & (total < cfg.tau))[leave]
         for i in np.flatnonzero(leave & ~ok):
             failure[live[i]] = (_STEP_FAILED if st["diverged"][i]
                                 else _ENERGY_FAILED)
@@ -269,8 +266,8 @@ def project_states(states, cs, weights, beta, cfg):
         k = done[p]
         traces.append(ProjectionTrace(
             **{f: table[i, :k, p].copy() for i, f in enumerate(ROW_FIELDS)},
-            iterations_run=int(k), converged=bool(converged[p]),
-            start_states=starts[:k, p], sweeps_evaluated=int(evaluated[p]),
+            iterations_run=int(k), start_states=starts[:k, p],
+            sweeps_evaluated=int(evaluated[p]),
             failure=failure.get(p)))
     if not single:
         return s, traces

@@ -40,6 +40,8 @@ SUCCESS_THRESHOLD = C.SUCCESS_THRESHOLD
 DEEP_TOLERANCE = SUCCESS_THRESHOLD * 1e-3  # stop refining below this energy
 GUARD_PATIENCE = 3
 _EVENT_EPS = 1e-12
+N_PROBES = 5  # update-map probes per solve (update_map_spectrum)
+PROBE_H = 1e-5  # central-difference shift of update_map_jacobian
 
 VARIANT_FLAGS = ("use_mse", "use_grad_clip", "use_physics_init",
                  "use_delta", "use_curvature", "use_cmaes")
@@ -129,8 +131,6 @@ class SolveResult:
     success: bool
     trace: SolveTrace
     violations: C.ViolationStats
-    variant: VariantConfig
-    seed: int
     stopped_by: str
     energy_increase_events: int = 0
     guard_triggers: int = 0
@@ -299,8 +299,6 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         success=(not diverged) and final_energy < SUCCESS_THRESHOLD,
         trace=trace,
         violations=C.violation_stats(final_states, cs),
-        variant=vc,
-        seed=seed,
         stopped_by=stopped_by,
         energy_increase_events=events,
         guard_triggers=guard_triggers,
@@ -315,17 +313,17 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     )
 
 
-def update_map_jacobian(states, cs, weights, beta, cfg, node, h=1e-5):
+def update_map_jacobian(states, cs, weights, beta, cfg, node):
     """Central-difference Jacobian of one node's sweep update map.
 
     The map takes the node's own 64 coordinates to their post-sweep values
-    with every other node frozen at the given states. All 2 * 64 shifted
-    states are swept as one batch; raises DivergenceError when the rank-one
-    step fails on any of them.
+    with every other node frozen at the given states. All 2 * 64 states
+    shifted by PROBE_H are swept as one batch; raises DivergenceError when
+    the rank-one step fails on any of them.
     """
     states = np.asarray(states, dtype=float)
     dim = states.shape[1]
-    shifts = h * np.eye(dim)
+    shifts = PROBE_H * np.eye(dim)
     probes = np.repeat(states[None], 2 * dim, axis=0)
     probes[:dim, node] = states[node] + shifts
     probes[dim:, node] = states[node] - shifts
@@ -334,38 +332,24 @@ def update_map_jacobian(states, cs, weights, beta, cfg, node, h=1e-5):
         raise DivergenceError("rank-one step met an overflowed gradient "
                               "in an update-map probe")
     # row j of the difference is column j of the Jacobian
-    return ((out[:dim, node] - out[dim:, node]) / (2.0 * h)).T
+    return ((out[:dim, node] - out[dim:, node]) / (2.0 * PROBE_H)).T
 
 
-@dataclass
-class JacobianStats:
-    grad_max: float
-    grad_mean: float
-    lambda_max_j: float
-    cond_j: float
-    divergence_flag: bool
-    energy_increase_events: int
-    final_energy: float
+def update_map_spectrum(res, cs, vc):
+    """(lambda_max, cond) of the update map along a solve of vc on cs run
+    with record_states=True.
 
-
-def jacobian_stats(inst, vc, budget=DEFAULT_BUDGET, seed=0, n_probes=5):
-    """Gradient and update-map statistics for one solve.
-
-    Runs solve while recording per-iteration states, then probes the linear
-    part of the update map by central differences at up to n_probes evenly
-    sampled iterations, at the node with the largest gradient norm. Reports
-    the max eigenvalue and condition number of the symmetrized Jacobian,
-    maximized over probes.
+    Probes the map at up to N_PROBES evenly sampled recorded iterations, at
+    the node with the largest gradient norm, and returns the max eigenvalue
+    and the condition number of the symmetrized Jacobian, each maximized
+    over the probes; (0.0, 0.0) when nothing was recorded.
     """
-    res = solve(inst, vc, budget=budget, seed=seed, record_states=True)
     cfg = _projection_config(vc)
-    cs = inst.constraints
-
     lam_max = 0.0
     cond = 0.0
     n_rec = len(res.recorded_states)
     if n_rec:
-        idx = np.unique(np.linspace(0, n_rec - 1, min(n_probes, n_rec))
+        idx = np.unique(np.linspace(0, n_rec - 1, min(N_PROBES, n_rec))
                         .round().astype(int))
         for t in idx:
             snap = res.recorded_states[t]
@@ -380,14 +364,4 @@ def jacobian_stats(inst, vc, budget=DEFAULT_BUDGET, seed=0, n_probes=5):
             lam_max = max(lam_max, float(eig.max()))
             denom = mags.min()
             cond = max(cond, float(mags.max() / denom) if denom > 0 else np.inf)
-
-    gm = res.trace.grad_mean
-    return JacobianStats(
-        grad_max=float(res.trace.grad_max.max()) if gm.size else 0.0,
-        grad_mean=float(gm.mean()) if gm.size else 0.0,
-        lambda_max_j=lam_max,
-        cond_j=cond,
-        divergence_flag=res.diverged,
-        energy_increase_events=res.energy_increase_events,
-        final_energy=res.final_energy,
-    )
+    return lam_max, cond

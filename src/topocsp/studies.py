@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .problems import generate_instance
-from .solver import (DEFAULT_BUDGET, SolveResult, VariantConfig,
-                     jacobian_stats, solve, variant)
+from .solver import (DEFAULT_BUDGET, VARIANT_FLAGS, SolveResult,
+                     VariantConfig, solve, update_map_spectrum, variant)
 
 SEED_STUDY_VARIANTS = ("baseline", "v1", "v2")
 DEFAULT_SIZES = (2, 4, 6, 8, 10, 12, 15, 20)
@@ -71,6 +71,10 @@ class StudySpec:
             raise ValueError("all sizes must be >= 2")
         for name in self.variants:
             variant(name)  # raises ValueError for an unknown name
+        if self.study != "ablation" and not self.variants:
+            raise ValueError(f"a {self.study} study needs a variant")
+        if self.study != "scaling" and len(self.sizes) > 1:
+            raise ValueError(f"a {self.study} study runs one size")
         if self.study == "scaling":
             # run_scaling_study runs only the first listed variant
             self.variants = self.variants[:1]
@@ -178,6 +182,11 @@ def _mean_std(values):
     return float(vals.mean()), float(vals.std())
 
 
+def _mean_grad_norm(res):
+    """Mean over a run's adopted sweeps of the mean node gradient norm."""
+    return float(res.trace.grad_mean.mean()) if res.trace.n_steps else 0.0
+
+
 def _summary(runs):
     """Mean and std of the finite final energies, and the success rate over
     all runs, a raised run counting as a failure."""
@@ -226,8 +235,7 @@ def run_scaling_study(spec):
     for n in spec.sizes:
         runs = _runs(spec, vc, n, failures)
         done = [res for _, res in runs if res is not None]
-        grads = [float(res.trace.grad_mean.mean())
-                 if res.trace.n_steps else 0.0 for res in done]
+        grads = [_mean_grad_norm(res) for res in done]
         summ = _summary(runs)
         mean_t = _mean([res.wall_time for res in done])
         mean_times.append(mean_t)
@@ -250,13 +258,11 @@ def ablation_configs():
     (identical to the v2 preset); the removals each switch one toggle off
     from full.
     """
-    order = ("use_mse", "use_grad_clip", "use_physics_init", "use_delta",
-             "use_curvature", "use_cmaes")
     labels = ("+mse", "+grad_clip", "+physics_init", "+delta", "+curvature",
               "full")
     configs = [("baseline", VariantConfig(name="baseline"))]
     on = {}
-    for flag, label in zip(order, labels):
+    for flag, label in zip(VARIANT_FLAGS, labels):
         on[flag] = True
         configs.append((label, VariantConfig(name=label, **on)))
     full = dict(on)
@@ -319,26 +325,33 @@ def run_stability_study(n=6, n_seeds=20, budget=DEFAULT_BUDGET,
     rank-one step, on one shared list of instance seeds.
 
     Returns {label: {grad_mean, grad_max, divergences,
-    energy_increase_events, lambda_max, cond, mean_energy}}.
+    energy_increase_events, lambda_max, cond, mean_energy}}; lambda_max and
+    cond come from update_map_spectrum, maximized over the runs.
     """
     full = variant("v2")
     no_delta = dict(ablation_configs())["full-delta"]
     seeds = [derive_seed(master_seed, "v2", n, i) for i in range(n_seeds)]
     out = {}
     for label, vc in (("full", full), ("no-delta", no_delta)):
-        stats = []
+        runs = []
         for s in seeds:
             inst = generate_instance(n, s)
-            stats.append(jacobian_stats(inst, vc, budget=budget, seed=s))
+            res = solve(inst, vc, budget=budget, seed=s, record_states=True)
+            t = res.trace
+            runs.append((_mean_grad_norm(res),
+                         float(t.grad_max.max()) if t.n_steps else 0.0,
+                         res.diverged, res.energy_increase_events,
+                         *update_map_spectrum(res, inst.constraints, vc),
+                         res.final_energy))
+        g_mean, g_max, diverged, events, lam, cond, energy = zip(*runs)
         out[label] = {
-            "grad_mean": float(np.mean([st.grad_mean for st in stats])),
-            "grad_max": float(np.max([st.grad_max for st in stats])),
-            "divergences": int(sum(st.divergence_flag for st in stats)),
-            "energy_increase_events": int(
-                sum(st.energy_increase_events for st in stats)),
-            "lambda_max": float(np.max([st.lambda_max_j for st in stats])),
-            "cond": float(np.max([st.cond_j for st in stats])),
-            "mean_energy": float(np.mean([st.final_energy for st in stats])),
+            "grad_mean": float(np.mean(g_mean)),
+            "grad_max": float(np.max(g_max)),
+            "divergences": int(sum(diverged)),
+            "energy_increase_events": int(sum(events)),
+            "lambda_max": float(np.max(lam)),
+            "cond": float(np.max(cond)),
+            "mean_energy": float(np.mean(energy)),
         }
     return out
 

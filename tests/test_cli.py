@@ -5,10 +5,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from topocsp.cli import main
+from topocsp.curvature import all_edge_curvatures, node_step_scales
+from topocsp.graphs import build_graph
 from topocsp.problems import generate_instance
+from topocsp.solver import solve, variant
 from topocsp.studies import TRACE_HEADER, StudySpec
 
 
@@ -61,14 +65,23 @@ def test_solve_trace_goes_through_the_study_writer(tmp_path, capsys):
 
 
 def test_solve_dump_curvature(capsys):
-    code, out, _ = run_main(["solve", "--n", "3", "--seed", "1",
-                             "--variant", "baseline", "--budget", "10",
+    code, out, _ = run_main(["solve", "--n", "5", "--seed", "1",
+                             "--variant", "v2", "--budget", "20",
                              "--dump-curvature"], capsys)
     assert code == 0
-    payload = json.loads(out)
-    assert "curvature" in payload
-    assert len(payload["curvature"]["edges"]) == 3  # complete graph on 3
-    assert len(payload["curvature"]["nodes"]) == 3
+    dump = json.loads(out)["curvature"]
+    assert len(dump["edges"]) == 10  # complete graph on 5
+    assert len(dump["nodes"]) == 5
+    # the dump is the curvature of the same solve's final states, bit for bit
+    res = solve(generate_instance(5, 1), variant("v2"), budget=20, seed=1)
+    g = build_graph(res.final_states)
+    scale, mean = node_step_scales(g)
+    assert [[e["u"], e["v"]] for e in dump["edges"]] == g.edges.tolist()
+    for got, want in (([e["curvature"] for e in dump["edges"]],
+                       all_edge_curvatures(g)),
+                      ([v["mean_curvature"] for v in dump["nodes"]], mean),
+                      ([v["scale"] for v in dump["nodes"]], scale)):
+        assert np.array(got).tobytes() == want.tobytes()
 
 
 def test_solve_from_instance_file(tmp_path, capsys):
@@ -207,6 +220,39 @@ def test_non_finite_state_rejected_by_every_variant(tmp_path, capsys, variant):
     assert code == 1
     assert out == ""
     assert "finite" in err
+
+
+def _malformed(d, shape):
+    """The instance dict d bent into one malformed shape."""
+    if shape == "top-level list":
+        return [d]
+    if shape == "anchors list":
+        d["anchors"] = list(d["anchors"].values())
+    elif shape == "anchors null":
+        d["anchors"] = None
+    elif shape == "null ordering row":
+        d["orderings"][1] = None
+    elif shape == "fractional n":
+        d["n"] += 0.5  # truncating would fit the states
+    elif shape == "fractional node id":
+        d["separations"][0] = [0, 1.7, 0.1]
+    return d
+
+
+@pytest.mark.parametrize("shape", [
+    "top-level list", "anchors list", "anchors null", "null ordering row",
+    "fractional n", "fractional node id"])
+def test_malformed_instance_is_a_usage_error(tmp_path, capsys, shape):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(
+        _malformed(generate_instance(4, 0).to_json_dict(), shape)))
+    code, out, err = run_main(["solve", "--instance", str(path),
+                               "--variant", "baseline", "--budget", "5"],
+                              capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("topocsp: error:")
+    assert "Traceback" not in err
 
 
 def test_infinite_min_dist_rejected_as_non_finite(tmp_path, capsys):

@@ -169,8 +169,7 @@ def test_scale_monotone_in_curvature():
 
 def test_report_structure(rng):
     g = build_graph(random_states(rng, 5))
-    rep = curvature_step_scales(g)
-    d = rep.to_json_dict()
+    d = curvature_step_scales(g)
     assert len(d["edges"]) == g.n_edges
     assert len(d["nodes"]) == 5
     assert all(0.25 <= node["scale"] <= 2.0 for node in d["nodes"])

@@ -12,9 +12,9 @@ from topocsp.problems import (ProblemInstance, generate_instance,
                               physics_aware_init)
 from topocsp.projection import (ROW_FIELDS, ProjectionConfig,
                                 project_states, sweep_once)
-from topocsp.solver import (GUARD_PATIENCE, PRESETS, JacobianStats,
-                            VariantConfig, jacobian_stats, solve,
-                            update_map_jacobian, variant)
+from topocsp.solver import (GUARD_PATIENCE, PRESETS, VariantConfig, solve,
+                            update_map_jacobian, update_map_spectrum,
+                            variant)
 
 
 def test_presets_exist():
@@ -200,15 +200,16 @@ def test_jacobian_probe_divergence_raises():
                             ProjectionConfig(), node=0)
 
 
-def test_jacobian_stats_fields():
+def test_update_map_spectrum():
     inst = generate_instance(4, seed=4)
-    js = jacobian_stats(inst, variant("v2"), budget=40, seed=4)
-    assert isinstance(js, JacobianStats)
-    assert js.grad_max >= js.grad_mean >= 0.0
-    assert np.isfinite(js.lambda_max_j)
-    assert js.cond_j >= 1.0
-    assert js.divergence_flag in (False, True)
-    assert js.final_energy >= 0.0
+    vc = variant("v2")
+    res = solve(inst, vc, budget=40, seed=4, record_states=True)
+    lam_max, cond = update_map_spectrum(res, inst.constraints, vc)
+    assert np.isfinite(lam_max)
+    assert cond >= 1.0
+    # a solve that recorded nothing has nothing to probe
+    res = solve(inst, vc, budget=40, seed=4)
+    assert update_map_spectrum(res, inst.constraints, vc) == (0.0, 0.0)
 
 
 def test_solve_rejects_bad_budget():

@@ -53,6 +53,16 @@ def test_spec_validation():
     for budget in (0, -5):
         with pytest.raises(ValueError, match="budget"):
             StudySpec(study="seeds", budget=budget)
+    # seeds and scaling run the listed variants; ablation runs its own ten
+    for study in ("seeds", "scaling"):
+        with pytest.raises(ValueError, match="needs a variant"):
+            StudySpec(study=study, variants=())
+    assert StudySpec(study="ablation", variants=()).variants == ()
+    # seeds and ablation run one size; scaling runs every listed size
+    for study in ("seeds", "ablation"):
+        with pytest.raises(ValueError, match="runs one size"):
+            StudySpec(study=study, sizes=(4, 6))
+    assert StudySpec(study="scaling", sizes=(4, 6)).sizes == (4, 6)
 
 
 def test_spec_rejects_unknown_variant():
@@ -265,14 +275,34 @@ def test_summary_lists_each_failed_run(tmp_path, monkeypatch):
 
 def test_stability_no_delta_arm_is_ablation_full_delta(monkeypatch):
     arms = []
-    real = studies.jacobian_stats
+    real = studies.solve
 
     def record(inst, vc, **kwargs):
         arms.append(vc)
         return real(inst, vc, **kwargs)
-    monkeypatch.setattr(studies, "jacobian_stats", record)
+    monkeypatch.setattr(studies, "solve", record)
     run_stability_study(n=3, n_seeds=1, budget=2, master_seed=42)
     assert arms == [variant("v2"), dict(ablation_configs())["full-delta"]]
+
+
+def test_stability_study_values():
+    # every figure pinned exactly: a change to the solve path, the recorded
+    # states or the update-map probes shows here
+    out = run_stability_study(n=3, n_seeds=2, budget=20, master_seed=42)
+    assert out == {
+        "full": {"grad_mean": 0.1827469283064581,
+                 "grad_max": 0.8940983963729158,
+                 "divergences": 0, "energy_increase_events": 0,
+                 "lambda_max": 4.001094540942297,
+                 "cond": 21.457335490646727,
+                 "mean_energy": 2.2859634278791858e-07},
+        "no-delta": {"grad_mean": 0.35288924074912836,
+                     "grad_max": 0.8940983963729158,
+                     "divergences": 0, "energy_increase_events": 0,
+                     "lambda_max": 1.0009022242698606,
+                     "cond": 1.0289380404289683,
+                     "mean_energy": 0.2403244206002287},
+    }
 
 
 def test_stability_study_structure():
