@@ -2,7 +2,9 @@
 
 delta_step moves a state toward a target only along the gradient
 direction, leaving the orthogonal complement untouched. The projection
-loop sweeps all nodes with such steps until the energy is small.
+loop's rank-one step is this update toward the target s - t*D on the
+gradient line, which it computes directly as the line-search step
+s - beta*t*D, sweeping all nodes until the energy is small.
 """
 
 import numpy as np

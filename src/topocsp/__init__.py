@@ -2,10 +2,10 @@
 
 A 64-dimensional state per graph node is pushed onto data, separation, and
 ordering constraint manifolds by an inner projection loop whose steps are
-scaled by discrete edge curvature and applied through a rank-one update,
-while an evolution strategy tunes the loss weights and the update's gating
-scalar. A benchmark harness reproduces seed-robustness, scaling, and
-ablation studies from the command line.
+scaled by discrete edge curvature and lengthened by a secant line search
+(the rank-one step), while an evolution strategy tunes the loss weights and
+the step's gating scalar. A benchmark harness reproduces seed-robustness,
+scaling, and ablation studies from the command line.
 """
 from .constraints import (ConstraintSet, DEFAULT_WEIGHTS, LossBreakdown,
                           LossWeights, ViolationStats, loss_components,

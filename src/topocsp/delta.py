@@ -17,18 +17,14 @@ DEFAULT_CLIP = (-1.0, 1.0)
 
 @dataclass
 class DeltaParams:
-    """Gating scalar, gradient floor, and optional componentwise bounds.
+    """Gating scalar, gradient floor, and optional componentwise bounds."""
 
-    beta is one number, or one per row of a batched delta_step call.
-    """
-
-    beta: float | np.ndarray = 1.0
+    beta: float = 1.0
     epsilon: float = DEFAULT_EPSILON
     clip: tuple | None = DEFAULT_CLIP
 
     def __post_init__(self):
-        beta = np.asarray(self.beta)
-        if not np.all((0.0 <= beta) & (beta <= 2.0)):
+        if not 0.0 <= self.beta <= 2.0:
             raise ValueError(f"beta must be in [0, 2], got {self.beta}")
         if not self.epsilon > 0:
             raise ValueError("epsilon must be positive")
@@ -42,8 +38,7 @@ def delta_step(x, g, v, params):
     """Rank-one update of x toward target v along the direction of g.
 
     x, g and v are one (d,) vector each, or (n, d) arrays updated row by
-    row, with params.beta one number or (n,) per row; a row of a batched
-    call equals the single-row call on that row bitwise. A row with
+    row, each row bitwise equal to the single-row call on it. A row with
     |g| < epsilon comes back unchanged, and the result is always a copy.
     Raises ValueError on non-finite input rather than propagating NaN.
     """

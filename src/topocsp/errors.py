@@ -14,7 +14,7 @@ class InfeasibleInitError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Projection produced a non-finite energy.
+    """A projection or update-map probe met a non-finite energy or step.
 
     Carries the partial trace accumulated before the blow-up in ``trace``.
     """

@@ -57,20 +57,28 @@ class ProblemInstance:
         object or one of its parts has the wrong type or shape."""
         if not isinstance(d, dict):
             raise ValueError("an instance must be a JSON object")
-        for key, kind, name in (("anchors", dict, "object"),
-                                ("separations", list, "array"),
-                                ("orderings", list, "array")):
-            if not isinstance(d.get(key, kind()), kind):
-                raise ConstraintError(f"{key} must be a JSON {name}")
-        states = np.asarray(d["states"], dtype=float)
+        anchors = d.get("anchors", {})
+        for key, ok, what in (
+                ("n", _is_number(d.get("n")), "a number"),
+                ("states", _number_rows(d.get("states"), STATE_DIM),
+                 f"an array of {STATE_DIM}-number arrays"),
+                ("anchors", isinstance(anchors, dict)
+                 and all(str(k).isdecimal() for k in anchors)
+                 and _number_rows(list(anchors.values()), STATE_DIM),
+                 f"an object from node ids to {STATE_DIM}-number arrays"),
+                *((key, _number_rows(d.get(key, [])), "an array of number "
+                   "arrays") for key in ("separations", "orderings"))):
+            if not ok:
+                raise ConstraintError(f"{key} must be {what}")
         cs = ConstraintSet.build(
             d["n"],
             anchors={int(k): np.asarray(v, dtype=float)
-                     for k, v in d.get("anchors", {}).items()},
+                     for k, v in anchors.items()},
             separations=d.get("separations", []),
             orderings=d.get("orderings", []),
         )
-        return cls(n=cs.n_nodes, initial_states=states, constraints=cs)
+        return cls(n=cs.n_nodes, constraints=cs,
+                   initial_states=np.asarray(d["states"], dtype=float))
 
     def save(self, path):
         with open(path, "w") as f:
@@ -86,6 +94,18 @@ class ProblemInstance:
         if self.constraints.n_separations:
             return float(self.constraints.sep_dist.max())
         return DEFAULT_MIN_SEP
+
+
+def _is_number(x):
+    """True for a JSON number; a JSON boolean or string is not one."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _number_rows(rows, width=None):
+    """True for a list of lists of JSON numbers, each width long if set."""
+    return isinstance(rows, list) and all(
+        isinstance(r, list) and width in (None, len(r))
+        and all(map(_is_number, r)) for r in rows)
 
 
 def physics_aware_init(n, seed, min_sep=DEFAULT_MIN_SEP):

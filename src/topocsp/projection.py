@@ -6,33 +6,34 @@ at the sweep-start state, then applied together. The plain step is
     s_v <- s_v - D_v,    D_v = alpha * eta_v * g_v
 
 with eta_v the curvature step scale (1 when curvature is off) and g_v the
-(optionally norm-clipped) loss gradient. The rank-one step instead moves each
-node along g_v toward the target
+(optionally norm-clipped) loss gradient. The rank-one step (use_delta) is
+a secant line search along -D instead:
 
-    v_v = s_v - t * D_v,    t = <g(s), D> / <g(s) - g(s - D), D>
+    s <- s - beta * t * D,    t = <g(s), D> / <g(s) - g(s - D), D>
 
-where t, one number per sweep, is the secant estimate of the minimiser of
-the loss along -D (t = 1, the plain step's target, when the denominator is
-not positive). The gating scalar beta places the node on that line: 1 lands
-on the estimated minimiser, (0, 2) lowers the energy of a quadratic, and 2
-reflects to the same energy level. Either step is followed by a
-componentwise clip of the state to [-1, 1]. The loop stops when the driving
-energy falls below tau or after t_max iterations.
+where t, one number per sweep, is the secant estimate of the loss minimiser
+along -D (t = 1, the plain step, when the denominator is not positive). The
+gating scalar beta places the state on that line: 1 lands on the estimated
+minimiser, (0, 2) lowers the energy of a quadratic, and 2 reflects to the
+same energy level. This is delta.delta_step toward the target s - t * D,
+which lies on the gradient line, computed directly. Either step is followed
+by a componentwise clip of the state to [-1, 1]. The loop stops when the
+driving energy falls below tau or after t_max iterations.
 
 The loop runs one (n, 64) state array or a batch (P, n, 64) of them, each
 batch row with its own loss weights and beta: one search generation is one
 call. Each row keeps its own course. It stops at tau. It is dropped when
-its energy goes non-finite or its rank-one step meets an overflowed
-gradient. Once a sweep leaves every node of a row below epsilon, the row is
-at a fixed point: it is not swept again, and its remaining trace rows copy
-its last one. Each batch row ends with the same states and trace, bit for
-bit, as the same row run alone.
+its energy or its line-search step goes non-finite. Once a sweep leaves
+every node of a row below epsilon, the row is at a fixed point: it is not
+swept again, and its remaining trace rows copy its last one. Each batch row
+ends with the same states and trace, bit for bit, as the same row run
+alone.
 
 The loss is evaluated once at the start states and once after each sweep,
 at the new states. That one evaluation gives the sweep's trace losses and
 the next sweep's gradient, which is carried into sweep_once. A run of k
-sweeps thus evaluates the loss k + 1 times, plus k more for the rank-one
-step's secant.
+sweeps thus evaluates the loss k + 1 times, plus k more for the line
+search's secant.
 """
 from __future__ import annotations
 
@@ -43,7 +44,8 @@ import numpy as np
 
 from . import constraints as C
 from .curvature import node_step_scales
-from .delta import DEFAULT_CLIP, DEFAULT_EPSILON, DeltaParams, delta_step
+# delta_step is unused here; perfbench/tracer.py wraps it under this name
+from .delta import DEFAULT_CLIP, DEFAULT_EPSILON, delta_step  # noqa: F401
 from .errors import DivergenceError
 from .graphs import STATE_DIM, build_graph
 
@@ -85,8 +87,8 @@ class ProjectionTrace:
 
     start_states holds each iteration's sweep-start states. sweeps_evaluated
     counts the sweeps actually computed: rows copied at a fixed point are
-    left out, and a sweep whose rank-one step failed, which leaves no row,
-    is counted. failure says why a run diverged, None when it did not.
+    left out, and a sweep whose line-search step went non-finite, which
+    leaves no row, is counted. failure says why a run diverged, or None.
     """
 
     l_total: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -119,12 +121,12 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
     Exposed separately so update maps can be probed at a frozen state. grad
     is the loss gradient at `states` under `weights`, computed here when
     omitted; the gradient norms in stats are its norms. On one (n, 64)
-    array, stats holds floats grad_max, grad_mean and step_mean, and a NaN
-    or overflowed gradient in the rank-one step raises DivergenceError. On
-    a batch (P, n, 64), with weights (P, 3) or one LossWeights and beta
-    (P,) or one number, stats holds (P,) arrays of those three plus the
-    masks `moved` (some node stepped) and `diverged` (the rank-one step met
-    a NaN or overflowed gradient; the row comes back unchanged).
+    array, stats holds floats grad_max, grad_mean and step_mean, and a
+    non-finite line-search step raises DivergenceError. On a batch
+    (P, n, 64), with weights (P, 3) or one LossWeights and beta (P,) or one
+    number, stats holds (P,) arrays of those three plus the masks `moved`
+    (some node stepped) and `diverged` (the line-search step was non-finite
+    at a moving node; the row comes back unchanged).
     """
     s = np.ascontiguousarray(states, dtype=float)
     single = s.ndim == 2
@@ -155,22 +157,13 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
         step = cfg.alpha * eta[..., None] * clipped
         if cfg.use_delta:
             t = _secant_length(s, grad, step, cs, w, cfg.norm)
-            target = s - t[:, None, None] * step
-            finite = (np.isfinite(clipped).all(axis=-1)
-                      & np.isfinite(target).all(axis=-1))
-            diverged = (active & ~finite).any(axis=1)
-            rows = active & ~diverged[:, None]
-            betas = np.broadcast_to(np.asarray(beta, dtype=float)[..., None],
-                                    rows.shape)
-            params = DeltaParams(beta=betas[rows], epsilon=cfg.epsilon,
-                                 clip=None)
-            new = delta_step(s[rows], clipped[rows], target[rows], params)
-        else:
-            rows = active
-            new = (s - step)[rows]
+            step = np.multiply(beta, t)[:, None, None] * step
+            diverged = (active & ~np.isfinite(step).all(axis=-1)).any(axis=1)
+            active &= ~diverged[:, None]  # a diverged row comes back unchanged
+        new = (s - step)[active]
         if cfg.state_clip is not None:
             np.clip(new, cfg.state_clip[0], cfg.state_clip[1], out=new)
-        out[rows] = new
+        out[active] = new
 
     n = s.shape[1]
     stats = {"grad_max": norms.max(axis=1), "grad_mean": norms.sum(axis=1) / n,
@@ -202,11 +195,11 @@ def project_states(states, cs, weights, beta, cfg):
 
     On one (n, 64) array with one LossWeights and beta, returns (final
     states, ProjectionTrace) and raises DivergenceError, carrying the
-    partial trace, when the energy goes non-finite or the rank-one step
-    meets an overflowed gradient. On a batch (P, n, 64) with weights (P, 3)
-    or one LossWeights and beta (P,) or one number, returns (final states
-    (P, n, 64), list of P traces); a row that diverged gets NaN final states
-    and a trace whose failure says why, and the other rows go on.
+    partial trace, when the energy or the line-search step goes non-finite.
+    On a batch (P, n, 64) with weights (P, 3) or one LossWeights and beta
+    (P,) or one number, returns (final states (P, n, 64), list of P
+    traces); a row that diverged gets NaN final states and a trace whose
+    failure says why, and the other rows go on.
     """
     s = np.array(states, dtype=float, order="C")
     single = s.ndim == 2

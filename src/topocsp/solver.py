@@ -319,7 +319,7 @@ def update_map_jacobian(states, cs, weights, beta, cfg, node):
     The map takes the node's own 64 coordinates to their post-sweep values
     with every other node frozen at the given states. All 2 * 64 states
     shifted by PROBE_H are swept as one batch; raises DivergenceError when
-    the rank-one step fails on any of them.
+    the line-search step is non-finite on any of them.
     """
     states = np.asarray(states, dtype=float)
     dim = states.shape[1]

@@ -1,12 +1,13 @@
 """Benchmark studies: seed robustness, scaling, ablation, stability.
 
 Every study is deterministic given its spec: per-run seeds derive from
-sha256(master_seed, variant, n, index), each run is isolated (a failing run
-becomes a failed row, never an aborted study), and results land as CSV plus
-a JSON copy of the spec so the study can be rerun from its output directory.
-The seeds, scaling and ablation studies share one run loop and one writer;
-their summary files are strict JSON, with null for a non-finite value, and
-list each failed run with its reason.
+sha256(master_seed, variant, n, index), and results land as CSV plus a JSON
+copy of the spec so the study can be rerun from its output directory. The
+seeds, scaling and ablation studies share one run loop and one writer; each
+of their runs is isolated (a failing run becomes a failed row), and their
+summary files are strict JSON, with null for a non-finite value, listing
+each failed run with its reason. A raise from solve or update_map_spectrum
+aborts the stability study.
 """
 from __future__ import annotations
 

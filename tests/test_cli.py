@@ -236,12 +236,37 @@ def _malformed(d, shape):
         d["n"] += 0.5  # truncating would fit the states
     elif shape == "fractional node id":
         d["separations"][0] = [0, 1.7, 0.1]
+    elif shape == "string n":
+        d["n"] = str(d["n"])
+    elif shape == "string separation row":
+        d["separations"][0] = ["0", "1", "0.1"]
+    elif shape == "boolean n":
+        d["n"] = True
+    elif shape in ("fractional anchor key", "word anchor key"):
+        d["anchors"]["0.5" if "fractional" in shape else "x"] = (
+            d["anchors"].pop("0"))
+    elif shape == "null anchor vector":
+        d["anchors"]["0"] = None
+    elif shape == "short anchor vector":
+        d["anchors"]["0"] = [0.1, 0.2, 0.3]
+    elif shape in ("missing n", "missing states"):
+        del d[shape.split()[1]]
     return d
+
+
+# the field a shape's message names, for the shapes that used to run or to
+# fail with a message that named no field
+_NAMED = {"string n": "n must be", "boolean n": "n must be",
+          "string separation row": "separations must be",
+          "missing n": "n must be", "missing states": "states must be",
+          **dict.fromkeys(("fractional anchor key", "word anchor key",
+                           "null anchor vector", "short anchor vector"),
+                          "anchors must be")}
 
 
 @pytest.mark.parametrize("shape", [
     "top-level list", "anchors list", "anchors null", "null ordering row",
-    "fractional n", "fractional node id"])
+    "fractional n", "fractional node id", *_NAMED])
 def test_malformed_instance_is_a_usage_error(tmp_path, capsys, shape):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(
@@ -253,6 +278,7 @@ def test_malformed_instance_is_a_usage_error(tmp_path, capsys, shape):
     assert out == ""
     assert err.startswith("topocsp: error:")
     assert "Traceback" not in err
+    assert _NAMED.get(shape, "") in err
 
 
 def test_infinite_min_dist_rejected_as_non_finite(tmp_path, capsys):

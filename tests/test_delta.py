@@ -139,17 +139,3 @@ def test_params_validation():
         DeltaParams(beta=2.5)
     with pytest.raises(ValueError):
         DeltaParams(epsilon=-1.0)
-
-
-def test_per_row_beta_matches_single_row_calls(rng):
-    n = 9
-    x = rng.uniform(-1.0, 1.0, size=(n, 64))
-    g = rng.standard_normal((n, 64))
-    v = rng.uniform(-2.0, 2.0, size=(n, 64))
-    beta = rng.uniform(0.0, 2.0, size=n)
-    out = delta_step(x, g, v, DeltaParams(beta=beta))
-    for i in range(n):
-        assert np.array_equal(
-            out[i], delta_step(x[i], g[i], v[i], DeltaParams(beta=beta[i])))
-    with pytest.raises(ValueError):
-        DeltaParams(beta=np.array([0.5, 2.5]))

@@ -4,11 +4,14 @@ import pytest
 from topocsp import constraints as C
 from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, ConstraintSet,
                                  LossWeights, total_energy)
+from topocsp.curvature import node_step_scales
 from topocsp.delta import DeltaParams, delta_step
 from topocsp.errors import DivergenceError
+from topocsp.graphs import build_graph
 from topocsp.problems import generate_instance
 from topocsp.projection import (_ENERGY_FAILED, _STEP_FAILED,
-                                ProjectionConfig, project_states, sweep_once)
+                                ProjectionConfig, _secant_length,
+                                project_states, sweep_once)
 
 from conftest import (gradient_step_target, random_constraint_set,
                       random_states)
@@ -83,6 +86,35 @@ def test_beta_one_matches_plain_step(rng):
                                        clip=cfg.state_clip))
             b, _ = sweep_once(states.copy(), cs, UNIT_WEIGHTS, 1.0, cfg)
             assert np.max(np.abs(a - b)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 20])
+def test_line_search_is_the_rank_one_step_on_the_gradient_line(rng, n):
+    # the sweep's line-search step s - beta*t*D is the rank-one update
+    # toward the target s - t*D on the gradient line, then the state clip
+    p_count = 8
+    states = np.stack([random_states(rng, n) for _ in range(p_count)])
+    cs = random_constraint_set(rng, n)
+    weights = rng.uniform(0.1, 5.0, size=(p_count, 3))
+    beta = rng.uniform(0.0, 2.0, size=p_count)
+    beta[:2] = (0.0, 2.0)
+    cfg = ProjectionConfig()
+    out, stats = sweep_once(states, cs, weights, beta, cfg)
+    assert not stats["diverged"].any()
+    # the sweep's own D and t: the secant length amplifies rounding in D by
+    # about t (up to ~1e3), which would swamp the identity under test
+    grad = C.loss_gradient(states, cs, weights, cfg.norm)
+    norms = np.maximum(C.row_norms(grad), 1e-300)
+    g = grad * np.minimum(1.0, cfg.grad_clip / norms)[..., None]
+    eta, _ = node_step_scales(build_graph(states))
+    step = cfg.alpha * eta[..., None] * g
+    t = _secant_length(states, grad, step, cs, weights, cfg.norm)
+    ref = np.clip([delta_step(s, g[p], s - t[p] * step[p],
+                              DeltaParams(beta=beta[p], clip=None))
+                   for p, s in enumerate(states)], *cfg.state_clip)
+    move = np.max(np.abs(ref - states))
+    assert move > 0.0
+    assert np.max(np.abs(out - ref)) <= 1e-14 * move
 
 
 def test_secant_target_single_anchor():

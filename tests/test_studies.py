@@ -290,12 +290,12 @@ def test_stability_study_values():
     # states or the update-map probes shows here
     out = run_stability_study(n=3, n_seeds=2, budget=20, master_seed=42)
     assert out == {
-        "full": {"grad_mean": 0.1827469283064581,
+        "full": {"grad_mean": 0.18274692830645806,
                  "grad_max": 0.8940983963729158,
                  "divergences": 0, "energy_increase_events": 0,
-                 "lambda_max": 4.001094540942297,
-                 "cond": 21.457335490646727,
-                 "mean_energy": 2.2859634278791858e-07},
+                 "lambda_max": 4.001094540942322,
+                 "cond": 21.45733549063378,
+                 "mean_energy": 2.2859634278777022e-07},
         "no-delta": {"grad_mean": 0.35288924074912836,
                      "grad_max": 0.8940983963729158,
                      "divergences": 0, "energy_increase_events": 0,
