@@ -150,9 +150,9 @@ class ConstraintSet:
 
     @cached_property
     def _ordering_cells(self):
-        """Flat cells of the ordered coordinates: (cells of a, cells of b)."""
-        return (self.ord_a * STATE_DIM + self.ord_axis,
-                self.ord_b * STATE_DIM + self.ord_axis)
+        """Flat cells of the ordered coordinates: a ends, then b ends."""
+        return (np.concatenate((self.ord_a, self.ord_b)) * STATE_DIM
+                + np.tile(self.ord_axis, 2))
 
     @property
     def n_separations(self):
@@ -248,16 +248,18 @@ def _separation_residuals(flat, cs):
     """
     cells_a, cells_b = cs._separation_cells
     diff = flat.take(cells_a, axis=1) - flat.take(cells_b, axis=1)
-    dist = row_norms(diff)
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    # summed left to right, as row_norms sums its axis of three
+    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
     phi = np.maximum(0.0, cs.sep_dist - dist)
     return phi, diff, dist
 
 
 def _ordering_residuals(flat, cs):
     """Violation psi = max(0, pos(a)[axis] - pos(b)[axis] + margin), (P, O)."""
-    cells_a, cells_b = cs._ordering_cells
-    gap = flat.take(cells_a, axis=1) - flat.take(cells_b, axis=1)
-    return np.maximum(0.0, gap + cs.ord_margin)
+    ends = flat.take(cs._ordering_cells, axis=1)
+    o = cs.n_orderings
+    return np.maximum(0.0, (ends[:, :o] - ends[:, o:]) + cs.ord_margin)
 
 
 def loss_components(states, cs, norm=MSE, weights=None):
@@ -272,6 +274,7 @@ def loss_components(states, cs, norm=MSE, weights=None):
     All gradient terms go through one bincount in a fixed order (anchors,
     separation a ends, separation b ends, ordering a ends, ordering b ends),
     so each cell sums its terms in the same order whatever the batch size.
+    An inactive ordering adds two exact zeros, which change no sum.
     """
     s, single = _batch(states, cs)
     p_count = s.shape[0]
@@ -279,15 +282,13 @@ def loss_components(states, cs, norm=MSE, weights=None):
     size = flat.shape[1]
     w = weight_rows(np.ones(3) if weights is None else weights, p_count)
     d_data, d_phys, d_logic = cs.divisors(norm)
-    cells, terms = [], []
+    offset = np.arange(0, p_count * size, size)[:, None]
 
     resid = flat.take(cs._anchor_cells, axis=1) - cs.anchor_refs.ravel()
     l_data = row_sums(resid * resid) / d_data
-    if cs.anchor_ids.size:
-        coef = 2.0 * w[:, 0] / d_data
-        cells.append((np.arange(0, p_count * size, size)[:, None]
-                      + cs._anchor_cells).ravel())
-        terms.append((coef[:, None] * resid).ravel())
+    coef = 2.0 * w[:, 0] / d_data
+    cells = [(offset + cs._anchor_cells).ravel()]
+    terms = [(coef[:, None] * resid).ravel()]
 
     phi, diff, dist = _separation_residuals(flat, cs)
     l_phys = row_sums(phi * phi) / d_phys
@@ -297,26 +298,18 @@ def loss_components(states, cs, norm=MSE, weights=None):
         coef = ((-2.0 * w[rows, 1] / d_phys) * phi[rows, pairs]
                 / dist[rows, pairs])
         g = coef[:, None] * diff[rows, pairs]
-        offset = (rows * size)[:, None]
         for ends, sign in zip(cs._separation_cells, (g, -g)):
-            cells.append((offset + ends[pairs]).ravel())
+            cells.append((offset[rows] + ends[pairs]).ravel())
             terms.append(sign.ravel())
 
     psi = _ordering_residuals(flat, cs)
     l_logic = row_sums(psi * psi) / d_logic
-    rows, pairs = np.nonzero(psi > 0.0)
-    if rows.size:
-        coef = (2.0 * w[rows, 2] / d_logic) * psi[rows, pairs]
-        offset = rows * size
-        for ends, sign in zip(cs._ordering_cells, (coef, -coef)):
-            cells.append(offset + ends[pairs])
-            terms.append(sign)
+    coef = (2.0 * w[:, 2:] / d_logic) * psi
+    cells.append((offset + cs._ordering_cells).ravel())
+    terms.append(np.concatenate((coef, -coef), axis=1).ravel())
 
-    if cells:
-        grad = np.bincount(np.concatenate(cells), np.concatenate(terms),
-                           minlength=p_count * size).reshape(s.shape)
-    else:
-        grad = np.zeros(s.shape)
+    grad = np.bincount(np.concatenate(cells), np.concatenate(terms),
+                       minlength=p_count * size).reshape(s.shape)
     total = w[:, 0] * l_data + w[:, 1] * l_phys + w[:, 2] * l_logic
     if single:
         return LossBreakdown(float(l_data[0]), float(l_phys[0]),
@@ -347,8 +340,10 @@ class ViolationStats:
 
 def violation_stats(states, cs):
     """Mean and max residuals over the inequality families at one state."""
-    s, _ = _batch(states, cs)
-    flat = s.reshape(1, -1)
+    if np.shape(states) != (cs.n_nodes, STATE_DIM):
+        raise ConstraintError(f"states must be one ({cs.n_nodes}, "
+                              f"{STATE_DIM}) array, got {np.shape(states)}")
+    flat = np.asarray(states, dtype=float).reshape(1, -1)
     phi = _separation_residuals(flat, cs)[0][0]
     psi = _ordering_residuals(flat, cs)[0]
     phi_mean = float(phi.mean()) if phi.size else 0.0

@@ -56,6 +56,9 @@ def all_edge_curvatures(graph):
 
 def forman_ricci(graph, edge):
     """Curvature of a single edge (u, v) of an unbatched graph."""
+    if graph.weights.ndim != 2:
+        raise TopologyError(f"expected one (n, n) graph, got weights of "
+                            f"shape {graph.weights.shape}")
     u, v = edge
     n = graph.n_nodes
     if not (0 <= u < n and 0 <= v < n) or graph.weights[u, v] <= 0:
@@ -76,8 +79,9 @@ def node_step_scales(graph):
 def curvature_step_scales(graph):
     """Per-edge curvature and per-node mean curvature and step scale of an
     unbatched graph, with the law's constants, as a JSON object."""
-    if graph.n_nodes < 1:
-        raise TopologyError("graph has no nodes")
+    if graph.weights.ndim != 2 or graph.n_nodes < 1:
+        raise TopologyError(f"expected one (n, n) graph with n >= 1, got "
+                            f"weights of shape {graph.weights.shape}")
     kappa, deg = _curvature(graph)
     scale, mean = _scales(kappa, deg)
     return {

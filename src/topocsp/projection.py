@@ -18,7 +18,8 @@ minimiser, (0, 2) lowers the energy of a quadratic, and 2 reflects to the
 same energy level. This is delta.delta_step toward the target s - t * D,
 which lies on the gradient line, computed directly. Either step is followed
 by a componentwise clip of the state to [-1, 1]. The loop stops when the
-driving energy falls below tau or after t_max iterations.
+driving energy falls below tau or after t_max iterations. alpha = 0.01,
+tau = 1e-6 and the bounds [-1, 1] are constants of the loop.
 
 The loop runs one (n, 64) state array or a batch (P, n, 64) of them, each
 batch row with its own loss weights and beta: one search generation is one
@@ -57,24 +58,21 @@ ROW_FIELDS = ("l_total", "l_data", "l_phys", "l_logic", "grad_max",
 class ProjectionConfig:
     """Knobs of the inner loop; the booleans are the ablation axes.
 
-    epsilon, the gradient norm below which a node is not stepped, is fixed.
+    alpha, tau, the state bounds state_clip and epsilon, the gradient norm
+    below which a node is not stepped, are constants of the loop.
     """
 
-    alpha: float = 0.01
-    tau: float = 1e-6
     t_max: int = 10
     grad_clip: float | None = 1.0
     use_delta: bool = True
     use_curvature: bool = True
     norm: str = C.MSE
-    state_clip: tuple | None = DEFAULT_CLIP
+    alpha: ClassVar[float] = 0.01
+    tau: ClassVar[float] = 1e-6
+    state_clip: ClassVar[tuple] = DEFAULT_CLIP
     epsilon: ClassVar[float] = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
         if self.t_max < 1:
             raise ValueError("t_max must be >= 1")
         if self.grad_clip is not None and not self.grad_clip > 0:
@@ -126,8 +124,11 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
     (P, n, 64), with weights (P, 3) or one LossWeights and beta (P,) or one
     number, stats holds (P,) arrays of those three plus the masks `moved`
     (some node stepped) and `diverged` (the line-search step was non-finite
-    at a moving node; the row comes back unchanged).
+    at a moving node; the row comes back unchanged). With the rank-one step
+    on, a beta outside [0, 2] raises ValueError.
     """
+    if cfg.use_delta and not np.all((0.0 <= beta) & (beta <= 2.0)):
+        raise ValueError(f"beta must be in [0, 2], got {beta}")
     s = np.ascontiguousarray(states, dtype=float)
     single = s.ndim == 2
     if single:
@@ -149,21 +150,17 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
         if cfg.grad_clip is not None:
             scale = np.minimum(1.0, cfg.grad_clip / np.maximum(norms, 1e-300))
             clipped = grad * scale[..., None]
+        rate = cfg.alpha
         if cfg.use_curvature:
-            graph = build_graph(s)
-            eta, _ = node_step_scales(graph)
-        else:
-            eta = np.ones(norms.shape)
-        step = cfg.alpha * eta[..., None] * clipped
+            eta, _ = node_step_scales(build_graph(s))
+            rate = cfg.alpha * eta[..., None]
+        step = rate * clipped
         if cfg.use_delta:
             t = _secant_length(s, grad, step, cs, w, cfg.norm)
             step = np.multiply(beta, t)[:, None, None] * step
             diverged = (active & ~np.isfinite(step).all(axis=-1)).any(axis=1)
             active &= ~diverged[:, None]  # a diverged row comes back unchanged
-        new = (s - step)[active]
-        if cfg.state_clip is not None:
-            np.clip(new, cfg.state_clip[0], cfg.state_clip[1], out=new)
-        out[active] = new
+        out[active] = np.clip((s - step)[active], *cfg.state_clip)
 
     n = s.shape[1]
     stats = {"grad_max": norms.max(axis=1), "grad_mean": norms.sum(axis=1) / n,

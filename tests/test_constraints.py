@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,9 @@ def test_violation_stats_values():
     # pos1 - pos0 + margin ... here 0.05 - 0 + 0.1 = 0.15
     assert vs.psi_mean == pytest.approx(0.15, abs=1e-15)
     assert vs.combined == pytest.approx((0.05 + 0.15) / 2, abs=1e-15)
+    # a batch is rejected, not reported by its first row's figures
+    with pytest.raises(ConstraintError, match=r"one \(2, 64\) array"):
+        violation_stats(np.stack([states, 0 * states]), cs)
 
 
 def test_non_finite_constraints_rejected():
@@ -286,3 +291,67 @@ def test_no_weights_means_unit_weights(rng):
                 assert plain.grad.tobytes() == unit.grad.tobytes()
                 assert (np.asarray(plain.l_total).tobytes()
                         == np.asarray(unit.l_total).tobytes())
+
+
+def pinned_loss_sets():
+    """Six nodes under every family, and the same sets with one family left
+    out, at states holding the loss's edge cases: ordering (0, 1) exactly at
+    its kink, nodes 3 and 4 at zero distance, and -0.0 entries in an
+    anchored state and in a position."""
+    rng = np.random.default_rng(1212)
+    states = rng.uniform(-0.5, 0.5, size=(6, 64))
+    states[0, 0], states[1, 0] = 0.25, 0.5  # 0.25 - 0.5 + 0.25 == 0
+    states[4, :3] = states[3, :3]
+    states[2, 7] = -0.0
+    states[5, 1] = -0.0
+    refs = rng.uniform(-1.0, 1.0, size=(3, 64))
+    families = {
+        "anchors": {0: refs[0], 2: refs[1], 5: refs[2]},
+        "separations": [(0, 1, 0.3), (1, 2, 0.5), (2, 3, 0.4), (3, 4, 0.2),
+                        (0, 4, 0.6), (4, 5, 0.3)],
+        # a chain on axis 0, so that most nodes are the a end of one
+        # ordering and the b end of the next
+        "orderings": [(i, i + 1, 0, 0.25) for i in range(5)]
+                     + [(5, 0, 1, 0.1), (1, 3, 2, 0.05)],
+    }
+    sets = {"all": ConstraintSet.build(6, **families)}
+    for name in families:
+        sets[f"no {name}"] = ConstraintSet.build(
+            6, **{k: v for k, v in families.items() if k != name})
+    batch = states + rng.normal(0.0, 0.05, size=(5, 6, 64))
+    batch[0] = states
+    weights = rng.uniform(0.1, 20.0, size=(5, 3))
+    return sets, states, batch, weights
+
+
+def loss_digest(cs, states, batch, weights):
+    """sha256 over the family losses, total and gradient of one single
+    call and one batch call of five rows, under each norm."""
+    h = hashlib.sha256()
+    for norm in (MSE, SSE):
+        for s, w in ((states, DEFAULT_WEIGHTS), (batch, weights)):
+            lb = loss_components(s, cs, norm, w)
+            for x in (lb.l_data, lb.l_phys, lb.l_logic, lb.l_total, lb.grad):
+                h.update(np.ascontiguousarray(x, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+# any change to the order in which a cell sums its terms moves these
+PINNED_LOSS_DIGESTS = {
+    "all": "094d45ecad89750a3b12331551a45e893723fd6df13fef9fa61a197daf568576",
+    "no anchors":
+        "a44a7a1c1b0644feee9ca1e6ffe06d27629bb327cc013c4f377571ba368102b1",
+    "no orderings":
+        "a69870f9ebd0f31a47b9c04e1e4e1713e65ff68498cc2387ce8741dc8aa72629",
+    "no separations":
+        "0e758e76521cabf4fb7cec598a0ceb44c87c83b6ee222a4e768531061bd6d379",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOSS_DIGESTS))
+def test_loss_bits_pinned(name):
+    # every term of a cell is summed in one fixed order (see
+    # loss_components), so the floats are pinned bit for bit
+    sets, states, batch, weights = pinned_loss_sets()
+    assert loss_digest(sets[name], states, batch, weights) == \
+        PINNED_LOSS_DIGESTS[name]

@@ -71,6 +71,14 @@ def test_missing_edge_errors():
             forman_ricci(g, edge)
 
 
+def test_batched_graph_rejected_where_one_graph_is_expected(rng):
+    g = build_graph(rng.uniform(-1.0, 1.0, size=(2, 4, 64)))
+    with pytest.raises(TopologyError, match=r"expected one \(n, n\) graph"):
+        forman_ricci(g, (0, 1))
+    with pytest.raises(TopologyError, match=r"expected one \(n, n\) graph"):
+        curvature_step_scales(g)
+
+
 def test_oracle_equivalence_random_graphs(rng):
     # 100 random graphs, n <= 8, random weights, vs the brute-force oracle
     for _ in range(100):

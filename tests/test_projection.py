@@ -57,13 +57,11 @@ def test_single_anchor_geometric_decay():
     # energy sequence is E_t = E_0 (1 - 2 alpha)^(2 t) exactly, each sweep a
     # fixed contraction
     states, cs = single_anchor_problem()
-    alpha = 0.01
     e0 = total_energy(states, cs, weights=UNIT_WEIGHTS, norm=MSE)
-    cfg = ProjectionConfig(alpha=alpha, tau=1e-30, t_max=10, grad_clip=None,
-                           use_delta=False)
+    cfg = ProjectionConfig(t_max=10, grad_clip=None, use_delta=False)
     _, trace = project_states(states, cs, UNIT_WEIGHTS, 1.0, cfg)
     assert trace.iterations_run == 10
-    factor = (1.0 - 2.0 * alpha) ** 2
+    factor = (1.0 - 2.0 * cfg.alpha) ** 2
     for t, lt in enumerate(trace.l_total, start=1):
         assert lt == pytest.approx(e0 * factor ** t, rel=1e-12)
     # strictly decreasing
@@ -222,14 +220,14 @@ def test_grad_clip_limits_reported_norms(rng):
     cs = ConstraintSet.build(n_nodes=2, anchors={0: ref, 1: -ref},
                              separations=[], orderings=[])
     cfg = ProjectionConfig(grad_clip=1.0, use_curvature=False,
-                           state_clip=None, use_delta=False)
+                           use_delta=False)
     out, stats = sweep_once(states.copy(), cs, UNIT_WEIGHTS, 1.0, cfg)
     step = np.linalg.norm(out - states, axis=1)
     assert np.all(step <= cfg.alpha * 1.0 + 1e-12)
     assert stats["grad_max"] > 1.0
 
     cfg_off = ProjectionConfig(grad_clip=None, use_curvature=False,
-                               state_clip=None, use_delta=False)
+                               use_delta=False)
     out2, _ = sweep_once(states.copy(), cs, UNIT_WEIGHTS, 1.0, cfg_off)
     step2 = np.linalg.norm(out2 - states, axis=1)
     assert np.all(step2 > step)
@@ -257,13 +255,38 @@ def test_deterministic_repeat(rng):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ProjectionConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        ProjectionConfig(tau=-1.0)
-    with pytest.raises(ValueError):
         ProjectionConfig(t_max=0)
     with pytest.raises(ValueError):
         ProjectionConfig(grad_clip=0.0)
+    # the loop's constants read from a config but cannot be set
+    cfg = ProjectionConfig()
+    assert (cfg.alpha, cfg.tau, cfg.state_clip) == (0.01, 1e-6, (-1.0, 1.0))
+    for name in ("alpha", "tau", "state_clip", "epsilon"):
+        with pytest.raises(TypeError):
+            ProjectionConfig(**{name: getattr(cfg, name)})
+
+
+def test_beta_outside_its_range_rejected():
+    # with the rank-one step on, beta must lie in [0, 2], as one number or
+    # as one per batch row; with the step off it is not read
+    inst = generate_instance(6, 1)
+    states, cs = inst.initial_states, inst.constraints
+    batch = np.stack([states] * 3)
+    cfg = ProjectionConfig()
+    for bad in (-0.1, 2.5, np.nan, np.inf):
+        with pytest.raises(ValueError, match=r"beta must be in \[0, 2\]"):
+            project_states(states, cs, DEFAULT_WEIGHTS, bad, cfg)
+        with pytest.raises(ValueError, match=r"beta must be in \[0, 2\]"):
+            project_states(batch, cs, DEFAULT_WEIGHTS,
+                           np.array([0.8, bad, 1.0]), cfg)
+    for good in (0.0, 2.0):
+        _, trace = project_states(states, cs, DEFAULT_WEIGHTS, good, cfg)
+        assert trace.failure is None
+        _, traces = project_states(batch, cs, DEFAULT_WEIGHTS,
+                                   np.array([good, 0.8, good]), cfg)
+        assert all(tr.failure is None for tr in traces)
+    project_states(states, cs, DEFAULT_WEIGHTS, 5.0,
+                   ProjectionConfig(use_delta=False))
 
 
 def batch_problem():

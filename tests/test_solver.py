@@ -143,7 +143,7 @@ def test_physics_init_respected():
 
 def test_update_map_jacobian_beta_zero_identity():
     inst = generate_instance(3, seed=6)
-    cfg = ProjectionConfig(use_curvature=False, state_clip=None)
+    cfg = ProjectionConfig(use_curvature=False)
     jac = update_map_jacobian(inst.initial_states, inst.constraints,
                               DEFAULT_WEIGHTS, beta=0.0, cfg=cfg, node=0)
     eig = np.linalg.eigvalsh((jac + jac.T) / 2)
