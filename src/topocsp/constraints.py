@@ -249,7 +249,8 @@ def _separation_residuals(flat, cs):
     cells_a, cells_b = cs._separation_cells
     diff = flat.take(cells_a, axis=1) - flat.take(cells_b, axis=1)
     dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
-    # summed left to right, as row_norms sums its axis of three
+    # summed left to right, as row_norms sums its axis of three;
+    # test_loss_bits_pinned holds these floats
     dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
     phi = np.maximum(0.0, cs.sep_dist - dist)
     return phi, diff, dist

@@ -10,7 +10,7 @@ stability (n=6). It records every solve with its counts, floats and the
 sha256 of its final states and trace, and each study's rows and summary.
 It also records the fixed-weight solves of
 tests/test_solver.py::test_fixed_variants_unchanged_at_n20 and
-`loss_components` on random (instance, batch size, norm) cases, as sha256
+`loss_components` on 300 random (instance, batch size, norm) cases, as sha256
 digests of the family losses, total and gradient.
 
 `compare` reports which records are bitwise equal and the largest relative
@@ -34,6 +34,7 @@ import numpy as np
 
 TIME_KEYS = {"wall_time", "mean_time", "time_exponent", "seconds"}
 LOSS_SIZES = (2, 3, 6, 12, 20, 40)
+LOSS_CASES = 300
 
 
 def _sha(*arrays):
@@ -113,10 +114,10 @@ def _record_fixed(topocsp, records):
         records[f"fixed-n20/{name}"] = _solve_record(res)
 
 
-def _record_loss(topocsp, master_seed, n_cases, records):
+def _record_loss(topocsp, master_seed, records):
     C = topocsp.constraints
     rng = np.random.default_rng(master_seed)
-    for i in range(n_cases):
+    for i in range(LOSS_CASES):
         n = int(rng.choice(LOSS_SIZES))
         p = int(rng.integers(1, 9))
         norm = (C.MSE, C.SSE)[i % 2]
@@ -132,14 +133,14 @@ def _record_loss(topocsp, master_seed, n_cases, records):
             bd.l_data, bd.l_phys, bd.l_logic, bd.l_total, bd.grad)}
 
 
-def record(checkout, out, master_seed, loss_cases):
+def record(checkout, out, master_seed):
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     import topocsp.constraints
     import topocsp.problems
     import topocsp.solver
     import topocsp.studies
     records = {}
-    _record_loss(topocsp, master_seed, loss_cases, records)
+    _record_loss(topocsp, master_seed, records)
     _record_fixed(topocsp, records)
     _record_studies(topocsp, master_seed, records)
     Path(out).write_text(json.dumps(
@@ -213,13 +214,12 @@ def main(argv=None):
     rec.add_argument("checkout", help="repository root holding src/topocsp")
     rec.add_argument("out", help="JSON file to write")
     rec.add_argument("--master-seed", type=int, default=42)
-    rec.add_argument("--loss-cases", type=int, default=300)
     cmp = sub.add_parser("compare", help="compare two recorded files")
     cmp.add_argument("a")
     cmp.add_argument("b")
     args = parser.parse_args(argv)
     if args.cmd == "record":
-        record(args.checkout, args.out, args.master_seed, args.loss_cases)
+        record(args.checkout, args.out, args.master_seed)
         return 0
     return compare(args.a, args.b)
 
