@@ -5,8 +5,8 @@
   bench  {seeds,scaling,ablation} --out DIR [--seeds N] [--sizes 2,4,...]
          [--n INT] [--budget INT] [--master-seed INT]
 
-Exit codes: 0 on success, 1 on usage errors, 2 when a run diverged or a
-study completed with failed runs.
+Exit codes: 0 on success, 1 on usage and file errors, 2 when a run
+diverged or a study completed with failed runs.
 """
 from __future__ import annotations
 
@@ -46,6 +46,17 @@ def _parse_sizes(text):
     return sizes
 
 
+def _seed(text):
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return seed
+
+
 def build_parser():
     parser = _Parser(prog="topocsp",
                      description="Constraint solver and benchmark harness")
@@ -54,7 +65,7 @@ def build_parser():
 
     ps = sub.add_parser("solve", help="run one instance")
     ps.add_argument("--n", type=int, default=None, help="problem size")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_seed, default=0)
     ps.add_argument("--variant", choices=sorted(PRESETS), default="v2")
     ps.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     ps.add_argument("--instance", default=None,
@@ -143,9 +154,7 @@ def main(argv=None):
         return _cmd_bench(args)
     except SystemExit as e:
         return int(e.code or 0)
-    except FileNotFoundError as e:
-        return _usage_error(str(e))
-    except (ValueError, KeyError) as e:
+    except (OSError, ValueError, KeyError) as e:
         return _usage_error(str(e))
 
 

@@ -51,6 +51,12 @@ class LossWeights:
         return np.array([self.data, self.phys, self.logic])
 
 
+def weighted_total(w, l_data, l_phys, l_logic):
+    """Weighted energy of the family losses, summed left to right; w is one
+    (3,) array of family weights or (P, 3) rows, one per batch row."""
+    return w[..., 0] * l_data + w[..., 1] * l_phys + w[..., 2] * l_logic
+
+
 def weight_rows(weights, p):
     """(p, 3) family weights from one LossWeights or from rows of weights."""
     w = weights.as_array() if isinstance(weights, LossWeights) else weights
@@ -311,7 +317,7 @@ def loss_components(states, cs, norm=MSE, weights=None):
 
     grad = np.bincount(np.concatenate(cells), np.concatenate(terms),
                        minlength=p_count * size).reshape(s.shape)
-    total = w[:, 0] * l_data + w[:, 1] * l_phys + w[:, 2] * l_logic
+    total = weighted_total(w, l_data, l_phys, l_logic)
     if single:
         return LossBreakdown(float(l_data[0]), float(l_phys[0]),
                              float(l_logic[0]), float(total[0]), grad[0])

@@ -96,11 +96,15 @@ class ProjectionTrace:
     grad_max: np.ndarray = field(default_factory=lambda: np.empty(0))
     grad_mean: np.ndarray = field(default_factory=lambda: np.empty(0))
     step_mean: np.ndarray = field(default_factory=lambda: np.empty(0))
-    iterations_run: int = 0
     start_states: np.ndarray = field(
         default_factory=lambda: np.empty((0, 0, STATE_DIM)))
     sweeps_evaluated: int = 0
     failure: str | None = None
+
+    @property
+    def iterations_run(self):
+        """Trace rows: one per iteration run."""
+        return len(self.l_total)
 
 
 _STEP_FAILED = "rank-one step met an overflowed gradient"
@@ -256,7 +260,7 @@ def project_states(states, cs, weights, beta, cfg):
         k = done[p]
         traces.append(ProjectionTrace(
             **{f: table[i, :k, p].copy() for i, f in enumerate(ROW_FIELDS)},
-            iterations_run=int(k), start_states=starts[:k, p],
+            start_states=starts[:k, p],
             sweeps_evaluated=int(evaluated[p]),
             failure=failure.get(p)))
     if not single:

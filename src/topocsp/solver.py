@@ -2,15 +2,16 @@
 
 Every variant runs one generation loop. Each generation runs the inner
 projection loop on one batch holding a copy of the current states per
-candidate (loss weights, gating scalar), scores each end state under the
-fixed reference weights (from the family losses of its last sweep), and
-adopts the best candidate's states. With the evolution strategy enabled,
-the candidates are a small population sampled from it, the ranking is fed
-back to it, and the reference-weighted gradient norms of the trace are
-computed for the adopted candidate only. Without it, the one candidate is
-the reference weights with DEFAULT_BETA, every generation. Reported
-energies always use the reference weights under the variant's own
-normalization.
+candidate (loss weights, gating scalar), re-weights each candidate's
+trace energies under the fixed reference weights, scores each end state by
+the last of them, and adopts the best candidate's states and trace; the
+adopted traces, joined in order, are the solve's trace. With the evolution
+strategy enabled, the candidates are a small population sampled from it,
+the ranking is fed back to it, and the reference-weighted gradient norms
+of the trace are computed for the adopted candidate only. Without it, the
+one candidate is the reference weights with DEFAULT_BETA, every
+generation. Reported energies always use the reference weights under the
+variant's own normalization.
 
 A run stops at the sweep budget or below DEEP_TOLERANCE. The search also
 has a small divergence guard that keeps adopted energies from climbing:
@@ -31,8 +32,8 @@ from .cmaes import (DEFAULT_SIGMA0, DEFAULT_THETA_MEAN, STALL_GENERATIONS,
                     ParamEncoding, cma_ask, cma_init, cma_tell, stall_count)
 from .errors import DivergenceError
 from .problems import physics_aware_init
-from .projection import (ROW_FIELDS, ProjectionConfig, grad_stats,
-                         project_states, sweep_once)
+from .projection import (ROW_FIELDS, ProjectionConfig, ProjectionTrace,
+                         grad_stats, project_states, sweep_once)
 
 DEFAULT_BUDGET = 500
 DEFAULT_BETA = 0.8
@@ -90,32 +91,19 @@ def variant(name):
 
 
 @dataclass
-class SolveTrace:
-    """Concatenated per-step records across adopted inner runs.
-
-    l_total is the reference-weighted energy and the gradient columns are
-    norms of the reference-weighted gradient, so rows stay comparable when
-    the search varies the weights; the family columns are the unweighted
-    losses under the variant's normalization.
-    """
-
-    l_total: np.ndarray
-    l_data: np.ndarray
-    l_phys: np.ndarray
-    l_logic: np.ndarray
-    grad_max: np.ndarray
-    grad_mean: np.ndarray
-    step_mean: np.ndarray
-
-    @property
-    def n_steps(self):
-        return int(self.l_total.size)
-
-
-@dataclass
 class SolveResult:
-    """One solve. steps counts adopted sweeps; sweeps_evaluated counts every
-    candidate sweep computed, leaving out rows copied at a fixed point.
+    """One solve.
+
+    trace joins the adopted candidates' projection traces in order, one row
+    per adopted sweep. Its l_total is the reference-weighted energy and its
+    gradient columns are norms of the reference-weighted gradient, so rows
+    stay comparable when the search varies the weights; the family columns
+    are the unweighted losses under the variant's normalization. Its
+    start_states hold the adopted sweeps' start states when the solve ran
+    with record_states=True, and are empty, (0, n, 64), otherwise; then
+    recorded_params holds each of those sweeps' (lambdas, beta). Its
+    sweeps_evaluated counts every candidate sweep computed, leaving out rows
+    copied at a fixed point, and its failure says why the run diverged.
 
     stopped_by names why the run ended, in OptimizeResult's vocabulary:
     "budget" (it used its sweep budget), "tolerance" (it reached
@@ -125,50 +113,35 @@ class SolveResult:
 
     final_states: np.ndarray
     final_energy: float
-    steps: int
     generations: int
     wall_time: float
     success: bool
-    trace: SolveTrace
+    trace: ProjectionTrace
     violations: C.ViolationStats
     stopped_by: str
     energy_increase_events: int = 0
     guard_triggers: int = 0
-    sweeps_evaluated: int = 0
     adopted_energies: list = field(default_factory=list)
-    diverged: bool = False
-    failure: str | None = None
     cma_history: list = field(default_factory=list)
     adopted_params: list = field(default_factory=list)
-    recorded_states: list = field(default_factory=list)
     recorded_params: list = field(default_factory=list)
 
+    @property
+    def steps(self):
+        """Adopted sweeps, one per trace row."""
+        return self.trace.iterations_run
 
-class _RunAccumulator:
-    """Collects adopted inner traces and keeps the step census honest."""
+    @property
+    def sweeps_evaluated(self):
+        return self.trace.sweeps_evaluated
 
-    def __init__(self, ref_weights, record):
-        self.ref = ref_weights.as_array()
-        self.record = record
-        self.cols = {k: [] for k in ROW_FIELDS}
-        self.steps = 0
-        self.recorded_states = []
-        self.recorded_params = []
+    @property
+    def failure(self):
+        return self.trace.failure
 
-    def extend(self, trace, lambdas, beta):
-        fams = np.stack([trace.l_data, trace.l_phys, trace.l_logic], axis=1)
-        self.cols["l_total"].extend((fams @ self.ref).tolist())
-        for k in ROW_FIELDS[1:]:  # all but l_total, re-weighted above
-            self.cols[k].extend(getattr(trace, k).tolist())
-        self.steps += trace.iterations_run
-        if self.record:
-            self.recorded_states.extend(np.array(trace.start_states))
-            self.recorded_params.extend(
-                [(np.asarray(lambdas, dtype=float), float(beta))]
-                * trace.iterations_run)
-
-    def build(self):
-        return SolveTrace(**{k: np.array(v) for k, v in self.cols.items()})
+    @property
+    def diverged(self):
+        return self.trace.failure is not None
 
 
 def _projection_config(vc):
@@ -198,31 +171,33 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         states[:, :C.POSITION_DIM] = physics_aware_init(inst.n, seed,
                                                         inst.min_sep)
 
-    acc = _RunAccumulator(ref, record_states)
-
     e_curr = C.total_energy(states, cs, ref, norm)
     if not np.isfinite(e_curr):
         raise ValueError(f"start energy is not finite: {e_curr}")
     best_states = states.copy()
     best_energy = e_curr
+    ref_w = ref.as_array()
+    no_states = np.empty((0,) + states.shape)
+    adopted = [ProjectionTrace(start_states=no_states)]  # joined at the end
+    steps = 0
     sweeps_evaluated = 0
     events = 0
     guard_triggers = 0
     increases = 0
     stall = 0
     adopted_energies = []
-    diverged = False
     failure = None
     cma_history = []
     adopted_params = []
+    recorded_params = []
 
     search = vc.use_cmaes
     if search:
         st = cma_init(ParamEncoding.DIM, DEFAULT_THETA_MEAN, DEFAULT_SIGMA0)
         rng = np.random.default_rng(seed)
     else:
-        params = [(ref.as_array(), DEFAULT_BETA)]
-    while (acc.steps < budget and best_energy >= DEEP_TOLERANCE
+        params = [(ref_w, DEFAULT_BETA)]
+    while (steps < budget and best_energy >= DEEP_TOLERANCE
            and stall < STALL_GENERATIONS):
         if search:
             thetas = cma_ask(st, rng)
@@ -232,30 +207,36 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
             batch, cs, np.array([lam for lam, _ in params]),
             np.array([beta for _, beta in params]), cfg)
         sweeps_evaluated += sum(tr.sweeps_evaluated for tr in traces)
+        for tr in traces:  # reference-weighted, so that candidates compare
+            tr.l_total = C.weighted_total(ref_w, tr.l_data, tr.l_phys,
+                                          tr.l_logic)
         # a diverged candidate scores +inf and ranks last
-        fits = np.array([np.inf if tr.failure is not None else
-                         ref.data * tr.l_data[-1]
-                         + ref.phys * tr.l_phys[-1]
-                         + ref.logic * tr.l_logic[-1] for tr in traces])
+        fits = np.array([np.inf if tr.failure is not None else tr.l_total[-1]
+                         for tr in traces])
         if search:
             cma_tell(st, thetas, fits)
         best_i = int(np.argmin(fits))
         trace = traces[best_i]
         lambdas, beta = params[best_i]
-        if trace.failure is not None:
-            diverged = True
-            if search:
-                failure = "all candidates diverged"
-            else:  # the fixed run keeps the rows swept before it failed
-                failure = trace.failure
-                acc.extend(trace, lambdas, beta)
-            break
-        states = outs[best_i].copy()
         if search:
+            if trace.failure is not None:
+                failure = "all candidates diverged"
+                break
             trace.grad_max, trace.grad_mean = grad_stats(
                 trace.start_states, cs, ref, norm)
-        acc.extend(trace, lambdas, beta)
-        del outs, traces, trace  # free the batch before the next one
+        # copied only when recording: a view would keep the batch alive
+        trace.start_states = (trace.start_states.copy() if record_states
+                              else no_states)
+        adopted.append(trace)
+        steps += trace.iterations_run
+        if record_states:
+            recorded_params += [(lambdas, beta)] * trace.iterations_run
+        if trace.failure is not None:
+            # the fixed run keeps the rows swept before it failed
+            failure = trace.failure
+            break
+        states = outs[best_i].copy()
+        del outs, traces, trace, tr  # free the batch before the next one
         adopted_params.append((lambdas, beta))
         e_new = float(fits[best_i])
         if search:
@@ -282,34 +263,32 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
             best_energy = e_curr
             best_states = states.copy()
 
-    trace = acc.build()
+    trace = ProjectionTrace(
+        **{f: np.concatenate([getattr(tr, f) for tr in adopted])
+           for f in ROW_FIELDS + ("start_states",)},
+        sweeps_evaluated=sweeps_evaluated, failure=failure)
     final_states = best_states
     final_energy = float(best_energy)
     # a fixed-weight run never stalls: its loop ends only at the budget,
     # the tolerance or a divergence
-    stopped_by = ("diverged" if diverged else
+    stopped_by = ("diverged" if failure is not None else
                   "tolerance" if best_energy < DEEP_TOLERANCE else
-                  "budget" if acc.steps >= budget else "stagnation")
+                  "budget" if steps >= budget else "stagnation")
     return SolveResult(
         final_states=final_states,
         final_energy=final_energy,
-        steps=acc.steps,
         generations=st.generation if search else 0,
         wall_time=time.perf_counter() - t0,
-        success=(not diverged) and final_energy < SUCCESS_THRESHOLD,
+        success=failure is None and final_energy < SUCCESS_THRESHOLD,
         trace=trace,
         violations=C.violation_stats(final_states, cs),
         stopped_by=stopped_by,
         energy_increase_events=events,
         guard_triggers=guard_triggers,
-        sweeps_evaluated=sweeps_evaluated,
         adopted_energies=adopted_energies,
-        diverged=diverged,
-        failure=failure,
         cma_history=cma_history,
         adopted_params=adopted_params,
-        recorded_states=acc.recorded_states,
-        recorded_params=acc.recorded_params,
+        recorded_params=recorded_params,
     )
 
 
@@ -339,20 +318,22 @@ def update_map_spectrum(res, cs, vc):
     """(lambda_max, cond) of the update map along a solve of vc on cs run
     with record_states=True.
 
-    Probes the map at up to N_PROBES evenly sampled recorded iterations, at
-    the node with the largest gradient norm, and returns the max eigenvalue
-    and the condition number of the symmetrized Jacobian, each maximized
-    over the probes; (0.0, 0.0) when nothing was recorded.
+    Probes the map at up to N_PROBES evenly sampled recorded sweeps (the
+    trace's start_states, under their recorded_params), at the node with
+    the largest gradient norm, and returns the max eigenvalue and the
+    condition number of the symmetrized Jacobian, each maximized over the
+    probes; (0.0, 0.0) when nothing was recorded.
     """
     cfg = _projection_config(vc)
     lam_max = 0.0
     cond = 0.0
-    n_rec = len(res.recorded_states)
+    recorded = res.trace.start_states
+    n_rec = len(recorded)
     if n_rec:
         idx = np.unique(np.linspace(0, n_rec - 1, min(N_PROBES, n_rec))
                         .round().astype(int))
         for t in idx:
-            snap = res.recorded_states[t]
+            snap = recorded[t]
             lambdas, beta = res.recorded_params[t]
             w = C.LossWeights(*lambdas)
             g = C.loss_gradient(snap, cs, w, cfg.norm)

@@ -185,7 +185,7 @@ def _mean_std(values):
 
 def _mean_grad_norm(res):
     """Mean over a run's adopted sweeps of the mean node gradient norm."""
-    return float(res.trace.grad_mean.mean()) if res.trace.n_steps else 0.0
+    return float(res.trace.grad_mean.mean()) if res.steps else 0.0
 
 
 def _summary(runs):
@@ -316,7 +316,7 @@ def trace_rows(result: SolveResult):
     return [
         (i + 1, t.l_total[i], t.l_data[i], t.l_phys[i], t.l_logic[i],
          t.grad_max[i], t.grad_mean[i])
-        for i in range(t.n_steps)
+        for i in range(t.iterations_run)
     ]
 
 
@@ -338,9 +338,8 @@ def run_stability_study(n=6, n_seeds=20, budget=DEFAULT_BUDGET,
         for s in seeds:
             inst = generate_instance(n, s)
             res = solve(inst, vc, budget=budget, seed=s, record_states=True)
-            t = res.trace
             runs.append((_mean_grad_norm(res),
-                         float(t.grad_max.max()) if t.n_steps else 0.0,
+                         float(res.trace.grad_max.max()) if res.steps else 0.0,
                          res.diverged, res.energy_increase_events,
                          *update_map_spectrum(res, inst.constraints, vc),
                          res.final_energy))

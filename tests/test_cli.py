@@ -12,7 +12,7 @@ from topocsp.cli import main
 from topocsp.curvature import all_edge_curvatures, node_step_scales
 from topocsp.graphs import build_graph
 from topocsp.problems import generate_instance
-from topocsp.solver import solve, variant
+from topocsp.solver import PRESETS, solve, variant
 from topocsp.studies import TRACE_HEADER, StudySpec
 
 
@@ -105,6 +105,37 @@ def test_solve_missing_instance_file(capsys):
     code, _, err = run_main(["solve", "--instance", "/nonexistent.json"],
                             capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("variant", sorted(PRESETS))
+def test_negative_seed_rejected_by_every_variant(tmp_path, capsys, variant):
+    path = tmp_path / "inst.json"
+    generate_instance(4, seed=1).save(path)
+    code, out, err = run_main(["solve", "--instance", str(path),
+                               "--seed", "-1", "--variant", variant,
+                               "--budget", "5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "argument --seed: must be a non-negative integer" in err
+
+
+@pytest.mark.parametrize("shape", [
+    "instance is a directory", "trace is a directory", "out under a file"])
+def test_file_errors_are_usage_errors(tmp_path, capsys, shape):
+    inst = tmp_path / "inst.json"
+    generate_instance(3, seed=5).save(inst)
+    argv = {
+        "instance is a directory": ["solve", "--instance", str(tmp_path)],
+        "trace is a directory": ["solve", "--instance", str(inst),
+                                 "--trace", str(tmp_path)],
+        "out under a file": ["bench", "seeds", "--out", str(inst / "out"),
+                             "--n", "3", "--seeds", "1"],
+    }[shape]
+    code, out, err = run_main(argv + ["--budget", "5"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("topocsp: error:")
+    assert "Traceback" not in err
 
 
 def test_unknown_variant_usage_error(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from topocsp.errors import DivergenceError
 from topocsp.problems import (ProblemInstance, generate_instance,
                               physics_aware_init)
 from topocsp.projection import (ROW_FIELDS, ProjectionConfig,
-                                project_states, sweep_once)
+                                ProjectionTrace, project_states, sweep_once)
 from topocsp.solver import (GUARD_PATIENCE, PRESETS, VariantConfig, solve,
                             update_map_jacobian, update_map_spectrum,
                             variant)
@@ -87,7 +88,8 @@ def test_budget_and_trace_accounting():
         res = solve(inst, variant(name), budget=120, seed=3)
         # one adopted inner call may finish past the cap, never more
         assert res.steps <= 120 + 10
-        assert res.trace.n_steps == res.steps
+        assert isinstance(res.trace, ProjectionTrace)
+        assert res.trace.iterations_run == res.steps
         assert len(res.trace.l_total) == res.steps
         assert res.wall_time >= 0.0
         assert np.isfinite(res.final_energy)
@@ -133,12 +135,65 @@ def test_physics_init_respected():
     inst = generate_instance(6, seed=17)
     res_v2 = solve(inst, variant("v2"), budget=10, seed=17,
                    record_states=True)
-    start = res_v2.recorded_states[0]
+    start = res_v2.trace.start_states[0]
     # grid start: every pair separated by at least the instance minimum
     for i in range(6):
         for j in range(i + 1, 6):
             d = np.linalg.norm(start[i, :3] - start[j, :3])
             assert d >= inst.min_sep - 1e-12
+
+
+@pytest.mark.parametrize("name", ["baseline", "v1"])
+def test_fixed_run_trace_ends_each_call_at_its_adopted_energy(
+        monkeypatch, name):
+    rows = []
+
+    def counting(*args):
+        outs, traces = project_states(*args)
+        rows.append(traces[0].iterations_run)
+        return outs, traces
+    monkeypatch.setattr(solver, "project_states", counting)
+    res = solve(generate_instance(6, seed=4), variant(name), budget=60,
+                seed=4)
+    assert len(rows) == len(res.adopted_energies) >= 2
+    ends = np.cumsum(rows) - 1
+    # bitwise: the trace's re-weighted energy is the score that was adopted
+    assert res.trace.l_total[ends].tolist() == res.adopted_energies
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_start_states_recorded_only_on_request(name):
+    inst = generate_instance(5, seed=8)
+    res = solve(inst, variant(name), budget=30, seed=8)
+    assert res.trace.start_states.shape == (0, 5, 64)
+    assert res.recorded_params == []
+    rec = solve(inst, variant(name), budget=30, seed=8, record_states=True)
+    assert rec.trace.start_states.shape == (rec.steps, 5, 64)
+    assert len(rec.recorded_params) == rec.steps
+    # recording changes nothing else
+    assert np.array_equal(rec.trace.l_total, res.trace.l_total)
+    assert np.array_equal(rec.final_states, res.final_states)
+    if not variant(name).use_physics_init:
+        assert np.array_equal(rec.trace.start_states[0], inst.initial_states)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_each_call_frees_the_previous_batch(monkeypatch, name, record):
+    # an adopted trace must not keep its call's start-state buffer alive
+    buffers = []
+    alive = []
+
+    def spying(*args):
+        alive.append(sum(ref() is not None for ref in buffers))
+        outs, traces = project_states(*args)
+        buffers.append(weakref.ref(traces[0].start_states.base))
+        return outs, traces
+    monkeypatch.setattr(solver, "project_states", spying)
+    solve(generate_instance(6, seed=3), variant(name), budget=40, seed=3,
+          record_states=record)
+    assert len(alive) >= 2
+    assert alive == [0] * len(alive)
 
 
 def test_update_map_jacobian_beta_zero_identity():
@@ -305,7 +360,6 @@ def fail_from_call(monkeypatch, k):
             for f in ROW_FIELDS:
                 setattr(tr, f, getattr(tr, f)[:KEPT])
             tr.start_states = tr.start_states[:KEPT]
-            tr.iterations_run = KEPT
             tr.failure = "energy became non-finite"
         return np.full_like(outs, np.nan), traces
     monkeypatch.setattr(solver, "project_states", failing)
@@ -323,7 +377,7 @@ def test_fixed_run_divergence_keeps_its_partial_rows(monkeypatch):
     assert not res.success
     assert res.failure == "energy became non-finite"
     # the adopted call's rows, then the rows swept before the failure
-    assert res.steps == res.trace.n_steps == 10 + KEPT
+    assert res.steps == res.trace.iterations_run == 10 + KEPT
     assert np.array_equal(res.trace.step_mean,
                           np.concatenate([first.step_mean, failed.step_mean]))
     assert res.adopted_energies == [float(first.l_total[-1])]
@@ -345,7 +399,7 @@ def test_search_divergence_keeps_only_adopted_rows(monkeypatch):
     assert res.failure == "all candidates diverged"
     assert res.generations == 2
     # no row of the failed generation is kept
-    assert res.steps == res.trace.n_steps == adopted.iterations_run
+    assert res.steps == res.trace.iterations_run == adopted.iterations_run
     assert np.array_equal(res.trace.step_mean, adopted.step_mean)
     assert len(res.adopted_energies) == 1
     assert np.isfinite(res.final_states).all()

@@ -7,7 +7,9 @@
 sizes of tests/test_acceptance.py, 20 seeds each: seeds (baseline, v1 and
 v2 at n=6), scaling (v2 at 2..20), ablation (ten configurations at n=6) and
 stability (n=6). It records every solve with its counts, floats and the
-sha256 of its final states and trace, and each study's rows and summary.
+sha256 of its final states, trace and adopted energies, and each study's
+rows and summary; for the stability runs, which record their sweeps, also
+the sha256 of the recorded start states and (lambdas, beta) per sweep.
 It also records the fixed-weight solves of
 tests/test_solver.py::test_fixed_variants_unchanged_at_n20 and
 `loss_components` on 300 random (instance, batch size, norm) cases, as sha256
@@ -57,8 +59,16 @@ def _solve_record(res):
         "final_states": _sha(res.final_states),
         "trace": _sha(t.l_total, t.l_data, t.l_phys, t.l_logic, t.grad_max,
                       t.grad_mean, t.step_mean),
+        "adopted_energies": _sha(res.adopted_energies),
         "wall_time": res.wall_time,
     }
+
+
+def _recorded_states(res):
+    """The start states a solve recorded: its trace's start_states, or
+    SolveResult.recorded_states on a checkout that still has it."""
+    states = getattr(res.trace, "start_states", None)
+    return np.array(res.recorded_states) if states is None else states
 
 
 def _report(report, header):
@@ -75,6 +85,10 @@ def _record_studies(topocsp, master_seed, records):
         res = real_solve(inst, vc, **kwargs)
         key = f"{study[0]}/{vc.name}/n={inst.n}/seed={kwargs['seed']}"
         records[key] = _solve_record(res)
+        if kwargs.get("record_states"):
+            records[key]["start_states"] = _sha(_recorded_states(res))
+            records[key]["recorded_params"] = _sha(
+                *(np.append(lam, beta) for lam, beta in res.recorded_params))
         return res
 
     runs = (
