@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConstraintError
-from .graphs import STATE_DIM
+from .graphs import STATE_DIM, row_norms  # noqa: F401 (re-exported)
 
 POSITION_DIM = 3
 SUCCESS_THRESHOLD = 2.0
@@ -148,11 +148,47 @@ class ConstraintSet:
                 + np.arange(STATE_DIM)).ravel()
 
     @cached_property
+    def _by_batch(self):
+        """_cells' cache: batch size -> (anchor cells, ordering cells)."""
+        return {}
+
+    def _cells(self, p):
+        """(anchor cells, ordering cells) of a flat batch of p rows, each
+        row's offset added, cached per batch size. One row's are the set's
+        own cells. A batch larger than any seen builds the cells anew; a
+        smaller one takes a view of the first rows of the largest, so the
+        cache holds the largest batch's cells, not their sum over the sizes
+        seen."""
+        if p == 1:
+            return self._anchor_cells, self._ordering_cells
+        cells = self._by_batch.get(p)
+        if cells is None:
+            top = max(self._by_batch, default=0)
+            if p > top:
+                size = self.n_nodes * STATE_DIM
+                offset = np.arange(0, p * size, size)[:, None]
+                cells = ((offset + self._anchor_cells).ravel(),
+                         (offset + self._ordering_cells).ravel())
+                # the smaller sizes' views would keep the old cells alive
+                self._by_batch.clear()
+            else:
+                anchors, orderings = self._by_batch[top]
+                cells = (anchors[:p * self._anchor_cells.size],
+                         orderings[:p * self._ordering_cells.size])
+            self._by_batch[p] = cells
+        return cells
+
+    @cached_property
+    def _anchor_row(self):
+        """The anchor references as one flat row, aligned with
+        _anchor_cells."""
+        return self.anchor_refs.ravel()
+
+    @cached_property
     def _separation_cells(self):
-        """Flat cells of the pair positions: (a ends (S, 3), b ends (S, 3))."""
+        """Flat cells of the pair positions, (2, S, 3): a ends, then b ends."""
         pos = np.arange(POSITION_DIM)
-        return (self.sep_a[:, None] * STATE_DIM + pos,
-                self.sep_b[:, None] * STATE_DIM + pos)
+        return np.stack((self.sep_a, self.sep_b))[..., None] * STATE_DIM + pos
 
     @cached_property
     def _ordering_cells(self):
@@ -237,13 +273,7 @@ def _batch(states, cs):
 def row_sums(x):
     """Sum of each batch row; x must be C-contiguous, so that every row is
     summed pairwise exactly as np.sum sums the single-state array."""
-    return x.reshape(x.shape[0], -1).sum(axis=1)
-
-
-def row_norms(x):
-    """Euclidean norms along the last axis, the same floats as
-    np.linalg.norm(x, axis=-1) at less call overhead."""
-    return np.sqrt((x * x).sum(axis=-1))
+    return np.add.reduce(x.reshape(x.shape[0], -1), axis=1)
 
 
 def _separation_residuals(flat, cs):
@@ -252,21 +282,25 @@ def _separation_residuals(flat, cs):
     flat is a (P, n * 64) batch; returns phi (P, S), diff (P, S, 3) and
     dist (P, S).
     """
-    cells_a, cells_b = cs._separation_cells
-    diff = flat.take(cells_a, axis=1) - flat.take(cells_b, axis=1)
-    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    ends = flat.take(cs._separation_cells, axis=1)
+    diff = ends[:, 0] - ends[:, 1]
+    sq = diff * diff
     # summed left to right, as row_norms sums its axis of three;
     # test_loss_bits_pinned holds these floats
-    dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
-    phi = np.maximum(0.0, cs.sep_dist - dist)
-    return phi, diff, dist
+    dist = sq[..., 0] + sq[..., 1]
+    dist += sq[..., 2]
+    np.sqrt(dist, out=dist)
+    phi = np.subtract(cs.sep_dist, dist)
+    return np.maximum(0.0, phi, out=phi), diff, dist
 
 
 def _ordering_residuals(flat, cs):
     """Violation psi = max(0, pos(a)[axis] - pos(b)[axis] + margin), (P, O)."""
     ends = flat.take(cs._ordering_cells, axis=1)
     o = cs.n_orderings
-    return np.maximum(0.0, (ends[:, :o] - ends[:, o:]) + cs.ord_margin)
+    psi = ends[:, :o] - ends[:, o:]
+    psi += cs.ord_margin
+    return np.maximum(0.0, psi, out=psi)
 
 
 def loss_components(states, cs, norm=MSE, weights=None):
@@ -286,37 +320,40 @@ def loss_components(states, cs, norm=MSE, weights=None):
     s, single = _batch(states, cs)
     p_count = s.shape[0]
     flat = s.reshape(p_count, -1)
-    size = flat.shape[1]
     w = weight_rows(np.ones(3) if weights is None else weights, p_count)
     d_data, d_phys, d_logic = cs.divisors(norm)
-    offset = np.arange(0, p_count * size, size)[:, None]
+    anchor_cells, ordering_cells = cs._cells(p_count)
 
-    resid = flat.take(cs._anchor_cells, axis=1) - cs.anchor_refs.ravel()
+    resid = flat.take(cs._anchor_cells, axis=1)
+    resid -= cs._anchor_row
     l_data = row_sums(resid * resid) / d_data
     coef = 2.0 * w[:, 0] / d_data
-    cells = [(offset + cs._anchor_cells).ravel()]
+    cells = [anchor_cells]
     terms = [(coef[:, None] * resid).ravel()]
 
     phi, diff, dist = _separation_residuals(flat, cs)
     l_phys = row_sums(phi * phi) / d_phys
-    # d(phi^2)/d pos(a) = -2 phi * (pos(a)-pos(b))/dist, active when phi > 0
-    rows, pairs = np.nonzero((phi > 0.0) & (dist > _DIST_FLOOR))
-    if rows.size:
-        coef = ((-2.0 * w[rows, 1] / d_phys) * phi[rows, pairs]
-                / dist[rows, pairs])
-        g = coef[:, None] * diff[rows, pairs]
-        for ends, sign in zip(cs._separation_cells, (g, -g)):
-            cells.append((offset[rows] + ends[pairs]).ravel())
-            terms.append(sign.ravel())
+    # d(phi^2)/d pos(a) = -2 phi * (pos(a)-pos(b))/dist, active when phi > 0;
+    # the active pairs in row-major order, by their flat index k
+    k = np.flatnonzero((phi > 0.0) & (dist > _DIST_FLOOR))
+    if k.size:
+        rows, pairs = np.divmod(k, cs.n_separations)
+        coef = ((-2.0 * w[rows, 1] / d_phys) * phi.ravel()[k]
+                / dist.ravel()[k])
+        g = coef[:, None] * diff.reshape(-1, POSITION_DIM)[k]
+        # every a end, then every b end
+        ends = cs._separation_cells[:, pairs] + (rows * flat.shape[1])[:, None]
+        cells.append(ends.ravel())
+        terms.append(np.concatenate((g, -g)).ravel())
 
     psi = _ordering_residuals(flat, cs)
     l_logic = row_sums(psi * psi) / d_logic
     coef = (2.0 * w[:, 2:] / d_logic) * psi
-    cells.append((offset + cs._ordering_cells).ravel())
+    cells.append(ordering_cells)
     terms.append(np.concatenate((coef, -coef), axis=1).ravel())
 
     grad = np.bincount(np.concatenate(cells), np.concatenate(terms),
-                       minlength=p_count * size).reshape(s.shape)
+                       minlength=flat.size).reshape(s.shape)
     total = weighted_total(w, l_data, l_phys, l_logic)
     if single:
         return LossBreakdown(float(l_data[0]), float(l_phys[0]),

@@ -32,20 +32,26 @@ def _curvature(graph):
     # an isolated node lies on no edge, so its degree only needs to be
     # nonzero here: w is zero on every entry of its row and column
     d = np.maximum(deg, 1.0)
-    du, dv = d[..., :, None], d[..., None, :]
     # the edges adjacent to e=(u, v) are the incident edges of u and of v
     # minus e itself at each end; dividing by sqrt(du dv) once, and not by
     # each sqrt, keeps the unit triangle at exactly 0
-    wsum = w.sum(axis=-1)
-    adj = (wsum[..., :, None] - w) + (wsum[..., None, :] - w)
-    return w * (1.0 / du + 1.0 / dv - adj / np.sqrt(du * dv)), deg
+    wsum = np.add.reduce(w, axis=-1)
+    adj = np.subtract(wsum[..., :, None], w, dtype=float)
+    adj += wsum[..., None, :] - w
+    adj /= np.sqrt(d[..., :, None] * d[..., None, :])
+    inv = 1.0 / d
+    kappa = inv[..., :, None] + inv[..., None, :]
+    kappa -= adj
+    kappa *= w
+    return kappa, deg
 
 
 def _scales(kappa, deg):
     """(step scales, mean incident curvature) per node, (..., n) each."""
-    acc = kappa.sum(axis=-1)
+    acc = np.add.reduce(kappa, axis=-1)
     mean = np.divide(acc, deg, out=np.zeros(acc.shape), where=deg > 0)
-    return np.clip(np.exp(-GAMMA * mean), ETA_MIN, ETA_MAX), mean
+    scale = np.exp(-GAMMA * mean)
+    return np.clip(scale, ETA_MIN, ETA_MAX, out=scale), mean
 
 
 def all_edge_curvatures(graph):

@@ -35,21 +35,28 @@ def edge_weight(s_u, s_v):
     return max(WEIGHT_FLOOR, (1.0 + cos) / 2.0)
 
 
+def row_norms(x):
+    """Euclidean norms along the last axis, the same floats as
+    np.linalg.norm(x, axis=-1) at less call overhead."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def pairwise_weights(states):
     """(..., n, n) matrix of edge weights for all node pairs, zero diagonal."""
     states = np.asarray(states, dtype=float)
-    norms = np.linalg.norm(states, axis=-1)
-    safe = np.maximum(norms, _NORM_FLOOR)
-    unit = states / safe[..., None]
-    w = (1.0 + unit @ np.swapaxes(unit, -1, -2)) / 2.0
-    w = np.maximum(w, WEIGHT_FLOOR)
+    norms = row_norms(states)
+    unit = states / np.maximum(norms, _NORM_FLOOR)[..., None]
+    w = unit @ np.swapaxes(unit, -1, -2)
+    w += 1.0
+    w /= 2.0
+    np.maximum(w, WEIGHT_FLOOR, out=w)
     # degenerate states get the floor against every partner
     bad = norms < _NORM_FLOOR
     if bad.any():
         w[bad] = WEIGHT_FLOOR
         np.swapaxes(w, -1, -2)[bad] = WEIGHT_FLOOR
-    diag = np.arange(w.shape[-1])
-    w[..., diag, diag] = 0.0
+    n = w.shape[-1]
+    w.reshape(w.shape[:-2] + (n * n,))[..., ::n + 1] = 0.0  # the diagonal
     return w
 
 
@@ -80,7 +87,7 @@ class SemanticGraph:
 
     def degrees(self):
         """Unweighted incident-edge count per node, (..., n)."""
-        return np.count_nonzero(self.weights > 0, axis=-1)
+        return np.add.reduce(self.weights > 0, axis=-1)
 
 
 def build_graph(states):
@@ -92,6 +99,6 @@ def build_graph(states):
     n = states.shape[-2]
     if n < 1:
         raise ValueError("need at least one state")
-    if not np.all(np.isfinite(states)):
+    if not np.isfinite(states).all():
         raise ValueError("states must be finite")
     return SemanticGraph(weights=pairwise_weights(states))

@@ -30,11 +30,14 @@ swept again, and its remaining trace rows copy its last one. Each batch row
 ends with the same states and trace, bit for bit, as the same row run
 alone.
 
-The loss is evaluated once at the start states and once after each sweep,
-at the new states. That one evaluation gives the sweep's trace losses and
-the next sweep's gradient, which is carried into sweep_once. A run of k
-sweeps thus evaluates the loss k + 1 times, plus k more for the line
-search's secant.
+The loss is evaluated once after each sweep, at the new states. That one
+evaluation gives the sweep's trace losses and the next sweep's gradient,
+which is carried into sweep_once. The start states are evaluated too,
+unless the caller hands in their gradient: each trace's final_grad is the
+gradient at its final states, which a next call from those states under
+the same weights can start from. A call of k sweeps thus evaluates the
+loss k + 1 times, or k times with a carried start gradient, plus k more
+for the line search's secant.
 """
 from __future__ import annotations
 
@@ -87,6 +90,9 @@ class ProjectionTrace:
     counts the sweeps actually computed: rows copied at a fixed point are
     left out, and a sweep whose line-search step went non-finite, which
     leaves no row, is counted. failure says why a run diverged, or None.
+    final_grad is the loss gradient at the final states, (n, 64): a next
+    call from those states under the same weights can start from it. It is
+    None for a run that diverged.
     """
 
     l_total: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -100,6 +106,7 @@ class ProjectionTrace:
         default_factory=lambda: np.empty((0, 0, STATE_DIM)))
     sweeps_evaluated: int = 0
     failure: str | None = None
+    final_grad: np.ndarray | None = None
 
     @property
     def iterations_run(self):
@@ -114,7 +121,8 @@ _ENERGY_FAILED = "energy became non-finite"
 def grad_stats(states, cs, weights, norm):
     """Max and mean over nodes of the loss-gradient norms, per state array."""
     norms = C.row_norms(C.loss_gradient(states, cs, weights, norm))
-    return norms.max(axis=-1), norms.sum(axis=-1) / norms.shape[-1]
+    return (np.maximum.reduce(norms, axis=-1),
+            np.add.reduce(norms, axis=-1) / norms.shape[-1])
 
 
 def sweep_once(states, cs, weights, beta, cfg, grad=None):
@@ -138,16 +146,14 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
     if single:
         s = s[None]
     p_count = s.shape[0]
-    w = C.weight_rows(weights, p_count)
     if grad is None:
-        grad = C.loss_gradient(s, cs, w, cfg.norm)
+        grad = C.loss_gradient(s, cs, weights, cfg.norm)
     grad = grad.reshape(s.shape)
     norms = C.row_norms(grad)
     # a NaN norm counts as active, so an overflowed gradient drops the row
     active = ~(norms < cfg.epsilon)
-    moved = active.any(axis=1)
+    moved = np.logical_or.reduce(active, axis=1)
     diverged = np.zeros(p_count, dtype=bool)
-    out = s.copy()
 
     if moved.any():
         clipped = grad
@@ -160,20 +166,27 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
             rate = cfg.alpha * eta[..., None]
         step = rate * clipped
         if cfg.use_delta:
-            t = _secant_length(s, grad, step, cs, w, cfg.norm)
+            t = _secant_length(s, grad, step, cs, weights, cfg.norm)
             step = np.multiply(beta, t)[:, None, None] * step
             diverged = (active & ~np.isfinite(step).all(axis=-1)).any(axis=1)
-            active &= ~diverged[:, None]  # a diverged row comes back unchanged
-        out[active] = np.clip((s - step)[active], *cfg.state_clip)
+            # a diverged row comes back unchanged
+            active &= ~diverged[:, None]
+            moved = moved & ~diverged
+        out = s - step
+        np.clip(out, *cfg.state_clip, out=out)
+        out = np.where(active[..., None], out, s)
+    else:
+        out = s.copy()
 
     n = s.shape[1]
-    stats = {"grad_max": norms.max(axis=1), "grad_mean": norms.sum(axis=1) / n,
-             "step_mean": C.row_norms(out - s).sum(axis=1) / n}
+    stats = {"grad_max": np.maximum.reduce(norms, axis=1),
+             "grad_mean": np.add.reduce(norms, axis=1) / n,
+             "step_mean": np.add.reduce(C.row_norms(out - s), axis=1) / n}
     if single:
         if diverged[0]:
             raise DivergenceError(_STEP_FAILED)
         return out[0], {k: float(v[0]) for k, v in stats.items()}
-    stats["moved"] = moved & ~diverged
+    stats["moved"] = moved
     stats["diverged"] = diverged
     return out, stats
 
@@ -191,7 +204,7 @@ def _secant_length(s, grad, step, cs, weights, norm):
     return np.divide(num, den, out=np.ones_like(den), where=den > 0)
 
 
-def project_states(states, cs, weights, beta, cfg):
+def project_states(states, cs, weights, beta, cfg, grad=None):
     """Run the projection loop.
 
     On one (n, 64) array with one LossWeights and beta, returns (final
@@ -201,6 +214,11 @@ def project_states(states, cs, weights, beta, cfg):
     (P,) or one number, returns (final states (P, n, 64), list of P
     traces); a row that diverged gets NaN final states and a trace whose
     failure says why, and the other rows go on.
+
+    grad, shaped like states, is the loss gradient at the start states
+    under the weights, as a previous call's final_grad gives it; it is
+    evaluated here when omitted. The loop trusts a given gradient, and with
+    the right one the run is the same, bit for bit, as without it.
     """
     s = np.array(states, dtype=float, order="C")
     single = s.ndim == 2
@@ -217,8 +235,11 @@ def project_states(states, cs, weights, beta, cfg):
     failure = {}
     live = np.arange(p_count)
     sel = slice(None)  # indexes the live rows; a slice until one leaves
+    final_grad = [None] * p_count
     cur = s
-    grad = C.loss_components(cur, cs, cfg.norm, w).grad
+    if grad is None:
+        grad = C.loss_components(cur, cs, cfg.norm, w).grad
+    grad = np.reshape(grad, s.shape)
     for t in range(t_max):
         starts[t, sel] = cur
         new, st = sweep_once(cur, cs, w[sel], b[sel], cfg, grad)
@@ -241,6 +262,8 @@ def project_states(states, cs, weights, beta, cfg):
         for i in np.flatnonzero(leave & ~ok):
             failure[live[i]] = (_STEP_FAILED if st["diverged"][i]
                                 else _ENERGY_FAILED)
+        for i in np.flatnonzero(leave & ok):
+            final_grad[live[i]] = grad[i].copy()
         for i in np.flatnonzero(ok & (total >= cfg.tau) & ~st["moved"]):
             # a fixed point: every later sweep would repeat this one
             p = live[i]
@@ -253,6 +276,8 @@ def project_states(states, cs, weights, beta, cfg):
             break
     s[live] = cur
     evaluated[live] = done[live] = t_max
+    for i, p in enumerate(live):
+        final_grad[p] = grad[i].copy()
     s[list(failure)] = np.nan
 
     traces = []
@@ -262,7 +287,7 @@ def project_states(states, cs, weights, beta, cfg):
             **{f: table[i, :k, p].copy() for i, f in enumerate(ROW_FIELDS)},
             start_states=starts[:k, p],
             sweeps_evaluated=int(evaluated[p]),
-            failure=failure.get(p)))
+            failure=failure.get(p), final_grad=final_grad[p]))
     if not single:
         return s, traces
     if traces[0].failure is not None:

@@ -10,10 +10,15 @@ strategy enabled, the candidates are a small population sampled from it,
 the ranking is fed back to it, and the reference-weighted gradient norms
 of the trace are computed for the adopted candidate only. Without it, the
 one candidate is the reference weights with DEFAULT_BETA, every
-generation. Reported energies always use the reference weights under the
-variant's own normalization.
+generation; the gradient of the start check, then each call's final_grad,
+is carried into the next call, so that no state is evaluated twice and a
+run of k sweeps evaluates the loss k + 1 times (plus the line search's).
+Reported energies always use the reference weights under the variant's own
+normalization.
 
-A run stops at the sweep budget or below DEEP_TOLERANCE. The search also
+A run stops at the sweep budget or below DEEP_TOLERANCE. A fixed-weight
+run also stops once its call ends at a fixed point, a state its sweeps no
+longer move, since every later call would repeat it. The search also
 has a small divergence guard that keeps adopted energies from climbing:
 after three consecutive increases the step size is halved and the states
 revert to the best snapshot seen so far. It stops once STALL_GENERATIONS
@@ -107,7 +112,9 @@ class SolveResult:
 
     stopped_by names why the run ended, in OptimizeResult's vocabulary:
     "budget" (it used its sweep budget), "tolerance" (it reached
-    DEEP_TOLERANCE), "stagnation" (the search stopped gaining) or
+    DEEP_TOLERANCE), "stagnation" (the search stopped gaining),
+    "fixed_point" (a fixed-weight run reached a state its sweeps no longer
+    move; steps then counts the sweeps up to the one that found it) or
     "diverged".
     """
 
@@ -171,7 +178,8 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         states[:, :C.POSITION_DIM] = physics_aware_init(inst.n, seed,
                                                         inst.min_sep)
 
-    e_curr = C.total_energy(states, cs, ref, norm)
+    start = C.loss_components(states, cs, norm, ref)
+    e_curr = start.l_total
     if not np.isfinite(e_curr):
         raise ValueError(f"start energy is not finite: {e_curr}")
     best_states = states.copy()
@@ -197,15 +205,21 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         rng = np.random.default_rng(seed)
     else:
         params = [(ref_w, DEFAULT_BETA)]
+        # the gradient at the states under the fixed weights, carried from
+        # the start check and then from each call's final_grad
+        grad = start.grad
+    del start
+    fixed_point = False
     while (steps < budget and best_energy >= DEEP_TOLERANCE
-           and stall < STALL_GENERATIONS):
+           and stall < STALL_GENERATIONS and not fixed_point):
         if search:
             thetas = cma_ask(st, rng)
             params = [ParamEncoding.decode(raw) for raw in thetas]
         batch = np.broadcast_to(states, (len(params),) + states.shape)
         outs, traces = project_states(
             batch, cs, np.array([lam for lam, _ in params]),
-            np.array([beta for _, beta in params]), cfg)
+            np.array([beta for _, beta in params]), cfg,
+            None if search else grad)
         sweeps_evaluated += sum(tr.sweeps_evaluated for tr in traces)
         for tr in traces:  # reference-weighted, so that candidates compare
             tr.l_total = C.weighted_total(ref_w, tr.l_data, tr.l_phys,
@@ -218,12 +232,21 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         best_i = int(np.argmin(fits))
         trace = traces[best_i]
         lambdas, beta = params[best_i]
+        # one row's gradient, so that no batch outlives its call
+        grad, trace.final_grad = trace.final_grad, None
         if search:
             if trace.failure is not None:
                 failure = "all candidates diverged"
                 break
             trace.grad_max, trace.grad_mean = grad_stats(
                 trace.start_states, cs, ref, norm)
+        elif (trace.failure is None
+              and trace.sweeps_evaluated < trace.iterations_run):
+            # a fixed point: every later call would repeat its last sweep,
+            # so the run keeps the rows up to it and stops
+            fixed_point = True
+            for f in ROW_FIELDS + ("start_states",):
+                setattr(trace, f, getattr(trace, f)[:trace.sweeps_evaluated])
         # copied only when recording: a view would keep the batch alive
         trace.start_states = (trace.start_states.copy() if record_states
                               else no_states)
@@ -270,9 +293,10 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     final_states = best_states
     final_energy = float(best_energy)
     # a fixed-weight run never stalls: its loop ends only at the budget,
-    # the tolerance or a divergence
+    # the tolerance, a fixed point or a divergence
     stopped_by = ("diverged" if failure is not None else
                   "tolerance" if best_energy < DEEP_TOLERANCE else
+                  "fixed_point" if fixed_point else
                   "budget" if steps >= budget else "stagnation")
     return SolveResult(
         final_states=final_states,

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -291,6 +292,66 @@ def test_no_weights_means_unit_weights(rng):
                 assert plain.grad.tobytes() == unit.grad.tobytes()
                 assert (np.asarray(plain.l_total).tobytes()
                         == np.asarray(unit.l_total).tobytes())
+
+
+def loss_bytes(bd):
+    return b"".join(np.asarray(getattr(bd, f)).tobytes()
+                    for f in ("l_data", "l_phys", "l_logic", "l_total",
+                              "grad"))
+
+
+@pytest.mark.parametrize("p", [1, 8, 128])
+def test_cell_cache_gives_the_same_bits(rng, p):
+    # the first call at a batch size fills the set's cell cache and later
+    # calls read it; both give the same bits, and the same as the rows
+    # evaluated alone
+    n = 7
+    cs = random_constraint_set(rng, n)
+    states = rng.uniform(-0.4, 0.4, size=(p, n, 64))
+    states[..., :3] *= 0.2  # bring the pairs close, so separations act
+    rows = rng.uniform(0.1, 20.0, size=(p, 3))
+    for norm in (MSE, SSE):
+        fresh = dataclasses.replace(cs)  # the same set, no cells cached
+        first = loss_components(states, fresh, norm, rows)
+        assert np.any(first.grad[..., :3] != 0.0)
+        again = loss_components(states, fresh, norm, rows)
+        assert loss_bytes(again) == loss_bytes(first)
+        for q in (0, p - 1):
+            one = loss_components(states[q], fresh, norm,
+                                  LossWeights(*rows[q]))
+            assert one.grad.tobytes() == first.grad[q].tobytes()
+            assert one.l_total == first.l_total[q]
+
+
+def test_cell_caches_are_per_constraint_set(rng):
+    # two sets over the same six nodes, used in turn at the same batch
+    # sizes, keep their own cells: every gradient row matches finite
+    # differences of its own set's energy
+    n = 6
+    sets = [
+        ConstraintSet.build(n, anchors={0: rng.uniform(-1, 1, 64),
+                                        1: rng.uniform(-1, 1, 64)},
+                            separations=[(0, 1, 0.4), (2, 3, 0.4)],
+                            orderings=[(0, 1, 0, 0.1), (2, 3, 1, 0.0)]),
+        ConstraintSet.build(n, anchors={5: rng.uniform(-1, 1, 64)},
+                            separations=[(4, 5, 0.4)],
+                            orderings=[(5, 4, 2, 0.2)]),
+    ]
+    states = rng.uniform(-0.5, 0.5, size=(3, n, 64))
+    states[..., :3] *= 0.3
+    rows = rng.uniform(0.5, 5.0, size=(3, 3))
+    grads = {}
+    for p in (1, 3):
+        for i, cs in enumerate(sets):
+            grads[i, p] = loss_components(states[:p], cs, SSE, rows[:p]).grad
+    for i, cs in enumerate(sets):
+        assert grads[i, 1].tobytes() == grads[i, 3][:1].tobytes()
+        for q in range(3):
+            w = LossWeights(*rows[q])
+            fd = fd_gradient(states[q], cs, w, SSE)
+            ok = ~kink_mask(states[q], cs)
+            assert np.all(np.abs(grads[i, 3][q] - fd)[ok]
+                          < 1e-5 * np.maximum(np.abs(fd[ok]), 1.0))
 
 
 def pinned_loss_sets():

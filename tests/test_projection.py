@@ -9,7 +9,7 @@ from topocsp.delta import DeltaParams, delta_step
 from topocsp.errors import DivergenceError
 from topocsp.graphs import build_graph
 from topocsp.problems import generate_instance
-from topocsp.projection import (_ENERGY_FAILED, _STEP_FAILED,
+from topocsp.projection import (_ENERGY_FAILED, _STEP_FAILED, ROW_FIELDS,
                                 ProjectionConfig, _secant_length,
                                 project_states, sweep_once)
 
@@ -351,6 +351,46 @@ def test_batch_rows_match_running_alone():
     assert early.failure is None and early.l_total[-1] < cfg.tau
     assert early.iterations_run < cfg.t_max
     assert early.sweeps_evaluated == early.iterations_run
+
+
+@pytest.mark.parametrize("rows", [[0], [1], [2], [3],
+                                  [0, 1, 2, 3, 3, 2, 1, 0]])
+def test_carried_start_gradient_changes_nothing(rows):
+    # a start gradient handed in runs the loop bit for bit as the one
+    # evaluated in the call; row 0 leaves at tau, row 2 at a fixed point and
+    # row 3 early; a next call started from each row's final_grad is the
+    # same as one that evaluates its start again
+    states, cs, weights, beta = batch_problem()
+    cfg = ProjectionConfig()
+    start, w, b = states[rows], weights[rows], beta[rows]
+    fields = ROW_FIELDS + ("start_states", "final_grad")
+    grad = C.loss_components(start, cs, cfg.norm, w).grad
+    runs = []
+    for carried in (None, grad):
+        out, traces = project_states(start, cs, w, b, cfg, carried)
+        again = project_states(
+            out, cs, w, b, cfg,
+            None if carried is None else [tr.final_grad for tr in traces])
+        runs.append((out, traces) + again)
+    (out, traces, out2, traces2), carried = runs
+    assert out.tobytes() == carried[0].tobytes()
+    assert out2.tobytes() == carried[2].tobytes()
+    for tr, ct in zip(traces + traces2, carried[1] + carried[3]):
+        for f in fields:
+            assert getattr(tr, f).tobytes() == getattr(ct, f).tobytes()
+        for f in ("sweeps_evaluated", "failure"):
+            assert getattr(tr, f) == getattr(ct, f)
+    for p, tr in enumerate(traces):
+        # final_grad is the gradient at the final states, one row's copy
+        at_end = C.loss_components(out[p], cs, cfg.norm,
+                                   LossWeights(*w[p])).grad
+        assert tr.final_grad.tobytes() == at_end.tobytes()
+        assert tr.final_grad.base is None
+    kinds = {rows[p]: tr for p, tr in enumerate(traces)}
+    if 0 in kinds:
+        assert kinds[0].l_total[-1] < cfg.tau
+    if 2 in kinds:
+        assert kinds[2].sweeps_evaluated < kinds[2].iterations_run
 
 
 def test_batch_takes_one_weighting_for_all():

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+from topocsp import constraints as C
 from topocsp import solver
 from topocsp.cmaes import STALL_GENERATIONS, STALL_REL
 from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, ConstraintSet,
@@ -16,6 +17,7 @@ from topocsp.projection import (ROW_FIELDS, ProjectionConfig,
 from topocsp.solver import (GUARD_PATIENCE, PRESETS, VariantConfig, solve,
                             update_map_jacobian, update_map_spectrum,
                             variant)
+from topocsp.studies import ablation_configs
 
 
 def test_presets_exist():
@@ -316,6 +318,59 @@ def test_search_stops_when_it_stalls():
     assert max(runs[:-1]) < STALL_GENERATIONS
 
 
+def count_evaluations(monkeypatch):
+    calls = []
+    real = C.loss_components
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(C, "loss_components", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["baseline", "v1"])
+def test_fixed_run_evaluates_each_state_once(monkeypatch, name):
+    # the start check's gradient, then each call's final_grad, starts the
+    # next call, so a run of k sweeps evaluates the loss k + 1 times
+    calls = count_evaluations(monkeypatch)
+    res = solve(generate_instance(20, seed=5), variant(name), budget=60,
+                seed=5)
+    assert res.steps == res.sweeps_evaluated == 60
+    assert len(calls) == 60 + 1
+
+
+@pytest.mark.parametrize("n,seed,evaluations", [(6, 0, 155), (6, 1, 23)])
+def test_search_run_evaluates_each_candidate_start(monkeypatch, n, seed,
+                                                   evaluations):
+    # the search's candidates carry their own weights, so every call
+    # evaluates its start states; the counts were taken before the fixed
+    # runs began to carry their gradient
+    calls = count_evaluations(monkeypatch)
+    solve(generate_instance(n, seed=seed), variant("v2"), seed=seed)
+    assert len(calls) == evaluations
+
+
+def test_fixed_run_stops_at_its_fixed_point():
+    # with the rank-one step on and no search, this run reaches states its
+    # sweeps no longer move after 34 sweeps; it stops there and counts them
+    vc = dict(ablation_configs())["+curvature"]
+    inst = generate_instance(6, seed=4)
+    res = solve(inst, vc, seed=4)
+    assert res.stopped_by == "fixed_point"
+    assert res.steps == res.trace.iterations_run == res.sweeps_evaluated == 34
+    assert res.adopted_energies[-1] == res.final_energy
+    assert not res.diverged and res.success
+    # a further call, as the run made before it stopped there, would sweep
+    # once and hand back the same states
+    cfg = solver._projection_config(vc)
+    out, trace = project_states(res.final_states, inst.constraints,
+                                DEFAULT_WEIGHTS, solver.DEFAULT_BETA, cfg)
+    assert out.tobytes() == res.final_states.tobytes()
+    assert trace.sweeps_evaluated == 1
+    assert np.all(trace.l_total == res.final_energy)
+
+
 def test_stopped_by_names_the_stop():
     v2 = variant("v2")
     assert solve(generate_instance(6, seed=1), v2, seed=1).stopped_by == \
@@ -351,8 +406,8 @@ def fail_from_call(monkeypatch, k):
     keeping the first KEPT rows of each trace; returns each call's traces."""
     calls = []
 
-    def failing(batch, cs, weights, beta, cfg):
-        outs, traces = project_states(batch, cs, weights, beta, cfg)
+    def failing(batch, cs, weights, beta, cfg, grad=None):
+        outs, traces = project_states(batch, cs, weights, beta, cfg, grad)
         calls.append(traces)
         if len(calls) < k:
             return outs, traces
