@@ -23,12 +23,13 @@ tau = 1e-6 and the bounds [-1, 1] are constants of the loop.
 
 The loop runs one (n, 64) state array or a batch (P, n, 64) of them, each
 batch row with its own loss weights and beta: one search generation is one
-call. Each row keeps its own course. It stops at tau. It is dropped when
-its energy or its line-search step goes non-finite. Once a sweep leaves
-every node of a row below epsilon, the row is at a fixed point: it is not
-swept again, and its remaining trace rows copy its last one. Each batch row
-ends with the same states and trace, bit for bit, as the same row run
-alone.
+call. Each row keeps its own course, and its trace has one row per sweep
+it ran. It stops at tau, and at a fixed point: a sweep that leaves every
+node below epsilon moves nothing, and every later sweep would repeat it. It
+is dropped when its energy goes non-finite, its trace ending with that
+sweep's row, or when its line-search step does, with no row for that sweep.
+Each batch row ends with the same states and trace, bit for bit, as the
+same row run alone.
 
 The loss is evaluated once after each sweep, at the new states. That one
 evaluation gives the sweep's trace losses and the next sweep's gradient,
@@ -87,9 +88,9 @@ class ProjectionTrace:
     """Per-iteration records; losses are measured after each sweep.
 
     start_states holds each iteration's sweep-start states. sweeps_evaluated
-    counts the sweeps actually computed: rows copied at a fixed point are
-    left out, and a sweep whose line-search step went non-finite, which
-    leaves no row, is counted. failure says why a run diverged, or None.
+    counts the sweeps computed: one per row, plus the sweep whose
+    line-search step went non-finite, which leaves no row. failure says why
+    a run diverged, or None.
     final_grad is the loss gradient at the final states, (n, 64): a next
     call from those states under the same weights can start from it. It is
     None for a run that diverged.
@@ -231,7 +232,6 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     table = np.empty((len(ROW_FIELDS), t_max, p_count))
     starts = np.empty((t_max,) + s.shape)
     done = np.zeros(p_count, dtype=int)  # trace rows per batch row
-    evaluated = np.zeros(p_count, dtype=int)  # set as each row leaves
     failure = {}
     live = np.arange(p_count)
     sel = slice(None)  # indexes the live rows; a slice until one leaves
@@ -256,7 +256,6 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
         leave = ~stay
         gone = live[leave]
         s[gone] = new[leave]
-        evaluated[gone] = t + 1
         done[gone] = t + 1 - st["diverged"][leave]
         ok = np.isfinite(total) & ~st["diverged"]
         for i in np.flatnonzero(leave & ~ok):
@@ -264,18 +263,12 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
                                 else _ENERGY_FAILED)
         for i in np.flatnonzero(leave & ok):
             final_grad[live[i]] = grad[i].copy()
-        for i in np.flatnonzero(ok & (total >= cfg.tau) & ~st["moved"]):
-            # a fixed point: every later sweep would repeat this one
-            p = live[i]
-            table[:, t + 1:, p] = table[:, t, p][:, None]
-            starts[t + 1:, p] = new[i]
-            done[p] = t_max
         live, cur, grad = live[stay], new[stay], grad[stay]
         sel = live
         if not live.size:
             break
     s[live] = cur
-    evaluated[live] = done[live] = t_max
+    done[live] = t_max
     for i, p in enumerate(live):
         final_grad[p] = grad[i].copy()
     s[list(failure)] = np.nan
@@ -286,7 +279,7 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
         traces.append(ProjectionTrace(
             **{f: table[i, :k, p].copy() for i, f in enumerate(ROW_FIELDS)},
             start_states=starts[:k, p],
-            sweeps_evaluated=int(evaluated[p]),
+            sweeps_evaluated=int(k + (failure.get(p) == _STEP_FAILED)),
             failure=failure.get(p), final_grad=final_grad[p]))
     if not single:
         return s, traces

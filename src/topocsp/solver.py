@@ -16,19 +16,19 @@ run of k sweeps evaluates the loss k + 1 times (plus the line search's).
 Reported energies always use the reference weights under the variant's own
 normalization.
 
-A run stops at the sweep budget or below DEEP_TOLERANCE. A fixed-weight
-run also stops once its call ends at a fixed point, a state its sweeps no
-longer move, since every later call would repeat it. The search also
-has a small divergence guard that keeps adopted energies from climbing:
-after three consecutive increases the step size is halved and the states
-revert to the best snapshot seen so far. It stops once STALL_GENERATIONS
-generations in a row have not lowered the best energy by STALL_REL of
-itself (`cmaes.stall_count`).
+A run stops at the sweep budget, which its last call is cut to fit, or
+below DEEP_TOLERANCE. A fixed-weight run also stops once its call ends at a
+fixed point, a state its sweeps no longer move, since every later call
+would repeat it. The search also has a small divergence guard that keeps
+adopted energies from climbing: after three consecutive increases the step
+size is halved and the states revert to the best snapshot seen so far. It
+stops once STALL_GENERATIONS generations in a row have not lowered the best
+energy by STALL_REL of itself (`cmaes.stall_count`).
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -100,22 +100,22 @@ class SolveResult:
     """One solve.
 
     trace joins the adopted candidates' projection traces in order, one row
-    per adopted sweep. Its l_total is the reference-weighted energy and its
-    gradient columns are norms of the reference-weighted gradient, so rows
-    stay comparable when the search varies the weights; the family columns
-    are the unweighted losses under the variant's normalization. Its
-    start_states hold the adopted sweeps' start states when the solve ran
-    with record_states=True, and are empty, (0, n, 64), otherwise; then
+    per adopted sweep that ran. Its l_total is the reference-weighted energy
+    and its gradient columns are norms of the reference-weighted gradient,
+    so rows stay comparable when the search varies the weights; the family
+    columns are the unweighted losses under the variant's normalization.
+    Its start_states hold the adopted sweeps' start states when the solve
+    ran with record_states=True, and are empty, (0, n, 64), otherwise; then
     recorded_params holds each of those sweeps' (lambdas, beta). Its
-    sweeps_evaluated counts every candidate sweep computed, leaving out rows
-    copied at a fixed point, and its failure says why the run diverged.
+    sweeps_evaluated counts every candidate sweep computed, and its failure
+    says why the run diverged.
 
     stopped_by names why the run ended, in OptimizeResult's vocabulary:
-    "budget" (it used its sweep budget), "tolerance" (it reached
-    DEEP_TOLERANCE), "stagnation" (the search stopped gaining),
-    "fixed_point" (a fixed-weight run reached a state its sweeps no longer
-    move; steps then counts the sweeps up to the one that found it) or
-    "diverged".
+    "budget" (it used its sweep budget, which steps never exceeds),
+    "tolerance" (it reached DEEP_TOLERANCE), "stagnation" (the search
+    stopped gaining), "fixed_point" (a fixed-weight run reached a state its
+    sweeps no longer move; its last trace row is the sweep that found it)
+    or "diverged".
     """
 
     final_states: np.ndarray
@@ -129,7 +129,6 @@ class SolveResult:
     energy_increase_events: int = 0
     guard_triggers: int = 0
     adopted_energies: list = field(default_factory=list)
-    cma_history: list = field(default_factory=list)
     adopted_params: list = field(default_factory=list)
     recorded_params: list = field(default_factory=list)
 
@@ -195,7 +194,6 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     stall = 0
     adopted_energies = []
     failure = None
-    cma_history = []
     adopted_params = []
     recorded_params = []
 
@@ -216,9 +214,10 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
             thetas = cma_ask(st, rng)
             params = [ParamEncoding.decode(raw) for raw in thetas]
         batch = np.broadcast_to(states, (len(params),) + states.shape)
+        call = replace(cfg, t_max=min(cfg.t_max, budget - steps))
         outs, traces = project_states(
             batch, cs, np.array([lam for lam, _ in params]),
-            np.array([beta for _, beta in params]), cfg,
+            np.array([beta for _, beta in params]), call,
             None if search else grad)
         sweeps_evaluated += sum(tr.sweeps_evaluated for tr in traces)
         for tr in traces:  # reference-weighted, so that candidates compare
@@ -240,13 +239,11 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
                 break
             trace.grad_max, trace.grad_mean = grad_stats(
                 trace.start_states, cs, ref, norm)
-        elif (trace.failure is None
-              and trace.sweeps_evaluated < trace.iterations_run):
-            # a fixed point: every later call would repeat its last sweep,
-            # so the run keeps the rows up to it and stops
-            fixed_point = True
-            for f in ROW_FIELDS + ("start_states",):
-                setattr(trace, f, getattr(trace, f)[:trace.sweeps_evaluated])
+        else:
+            # a call cut short without a failure ended at a fixed point (or
+            # at tau, below DEEP_TOLERANCE): every later call would repeat it
+            fixed_point = (trace.failure is None
+                           and trace.iterations_run < call.t_max)
         # copied only when recording: a view would keep the batch alive
         trace.start_states = (trace.start_states.copy() if record_states
                               else no_states)
@@ -262,11 +259,6 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         del outs, traces, trace, tr  # free the batch before the next one
         adopted_params.append((lambdas, beta))
         e_new = float(fits[best_i])
-        if search:
-            finite = fits[np.isfinite(fits)]
-            cma_history.append((st.generation, e_new,
-                                float(np.mean(finite)) if finite.size
-                                else float("inf"), st.sigma))
         if e_new > e_curr + _EVENT_EPS:
             events += 1
             increases += 1
@@ -310,7 +302,6 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         energy_increase_events=events,
         guard_triggers=guard_triggers,
         adopted_energies=adopted_energies,
-        cma_history=cma_history,
         adopted_params=adopted_params,
         recorded_params=recorded_params,
     )

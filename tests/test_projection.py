@@ -339,14 +339,18 @@ def test_batch_rows_match_running_alone():
     assert traces[4].failure is not None
     assert np.all(np.isnan(out[4]))
 
+    # each trace has one row per sweep run; the failed line-search step
+    # leaves no row
     ordinary, fixed, early = traces[1], traces[2], traces[3]
     assert ordinary.iterations_run == ordinary.sweeps_evaluated == cfg.t_max
     assert traces[0].failure is None and traces[0].l_total[-1] < cfg.tau
+    assert traces[0].iterations_run == traces[0].sweeps_evaluated
     assert traces[4].iterations_run == 0 and traces[4].sweeps_evaluated == 1
-    # the fixed point is swept once; its other rows copy the first
-    assert fixed.iterations_run == cfg.t_max and fixed.sweeps_evaluated == 1
-    assert fixed.failure is None and fixed.l_total[0] >= cfg.tau
-    assert np.all(fixed.l_total == fixed.l_total[0])
+    # the fixed point is swept once, and its one row is that no-op sweep
+    assert fixed.iterations_run == fixed.sweeps_evaluated == 1
+    assert fixed.failure is None and fixed.l_total[-1] >= cfg.tau
+    assert fixed.step_mean[-1] == 0.0
+    assert np.array_equal(fixed.start_states[-1], out[2])
     assert np.array_equal(out[2], states[2])
     assert early.failure is None and early.l_total[-1] < cfg.tau
     assert early.iterations_run < cfg.t_max
@@ -390,7 +394,10 @@ def test_carried_start_gradient_changes_nothing(rows):
     if 0 in kinds:
         assert kinds[0].l_total[-1] < cfg.tau
     if 2 in kinds:
-        assert kinds[2].sweeps_evaluated < kinds[2].iterations_run
+        # a fixed point ends its trace with the sweep that moved nothing
+        fixed = kinds[2]
+        assert fixed.iterations_run == fixed.sweeps_evaluated < cfg.t_max
+        assert fixed.step_mean[-1] == 0.0
 
 
 def test_batch_takes_one_weighting_for_all():

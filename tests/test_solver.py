@@ -17,7 +17,7 @@ from topocsp.projection import (ROW_FIELDS, ProjectionConfig,
 from topocsp.solver import (GUARD_PATIENCE, PRESETS, VariantConfig, solve,
                             update_map_jacobian, update_map_spectrum,
                             variant)
-from topocsp.studies import ablation_configs
+from topocsp.studies import ablation_configs, derive_seed
 
 
 def test_presets_exist():
@@ -88,13 +88,22 @@ def test_budget_and_trace_accounting():
     inst = generate_instance(6, seed=3)
     for name in ("baseline", "v1", "v2"):
         res = solve(inst, variant(name), budget=120, seed=3)
-        # one adopted inner call may finish past the cap, never more
-        assert res.steps <= 120 + 10
+        assert res.steps <= 120
         assert isinstance(res.trace, ProjectionTrace)
         assert res.trace.iterations_run == res.steps
         assert len(res.trace.l_total) == res.steps
         assert res.wall_time >= 0.0
         assert np.isfinite(res.final_energy)
+
+
+@pytest.mark.parametrize("name", ["baseline", "v1", "v2"])
+@pytest.mark.parametrize("budget", [1, 5, 25])
+def test_budget_is_an_upper_bound(name, budget):
+    # the last call is cut to the sweeps the budget has left
+    res = solve(generate_instance(6, seed=3), variant(name), budget=budget,
+                seed=3)
+    assert res.steps == budget
+    assert res.stopped_by == "budget"
 
 
 def test_final_energy_is_best_ever():
@@ -126,7 +135,6 @@ def test_fixed_variants_report_no_generations():
     inst = generate_instance(4, seed=2)
     res = solve(inst, variant("baseline"), budget=50, seed=2)
     assert res.generations == 0
-    assert res.cma_history == []
     # the fixed path records one energy per projection call, non-increasing
     assert len(res.adopted_energies) >= 1
     for prev, cur in zip(res.adopted_energies, res.adopted_energies[1:]):
@@ -369,6 +377,31 @@ def test_fixed_run_stops_at_its_fixed_point():
     assert out.tobytes() == res.final_states.tobytes()
     assert trace.sweeps_evaluated == 1
     assert np.all(trace.l_total == res.final_energy)
+
+
+def test_search_steps_count_only_swept_rows(monkeypatch):
+    # this v2 run adopts candidates that reach a fixed point before their
+    # call's last sweep; steps and the trace count the sweeps they ran
+    calls = []
+
+    def spy(*args):
+        outs, traces = project_states(*args)
+        calls.append(traces)
+        return outs, traces
+    monkeypatch.setattr(solver, "project_states", spy)
+    seed = derive_seed(42, "v2", 6, 4)
+    res = solve(generate_instance(6, seed), variant("v2"), seed=seed)
+    assert len(calls) == res.generations
+    adopted = [traces[int(np.argmin([
+        DEFAULT_WEIGHTS.as_array()
+        @ [tr.l_data[-1], tr.l_phys[-1], tr.l_logic[-1]] for tr in traces]))]
+        for traces in calls]
+    assert all(tr.failure is None for tr in adopted)
+    swept = [tr.sweeps_evaluated for tr in adopted]
+    assert min(swept) < 10
+    assert res.steps == res.trace.iterations_run == sum(swept)
+    assert np.array_equal(res.trace.step_mean,
+                          np.concatenate([tr.step_mean for tr in adopted]))
 
 
 def test_stopped_by_names_the_stop():
