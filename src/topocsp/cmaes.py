@@ -241,6 +241,4 @@ class ParamEncoding:
         return np.concatenate([np.log(lam), [math.log(half / (1.0 - half))]])
 
 
-# raw mean decoding to weights (1, 10, 2) and gating 0.8
-DEFAULT_THETA_MEAN = ParamEncoding.encode(np.array([1.0, 10.0, 2.0]), 0.8)
 DEFAULT_SIGMA0 = 0.3

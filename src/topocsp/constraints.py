@@ -101,9 +101,9 @@ class ConstraintSet:
         n_nodes, a node id or an axis is not a whole number, or a row does
         not hold that many numbers.
         """
-        anchors = anchors or {}
-        ids = sorted(int(k) for k in anchors)
-        refs = (np.array([np.asarray(anchors[i], dtype=float) for i in ids])
+        anchors = sorted((anchors or {}).items(), key=lambda kv: int(kv[0]))
+        ids = [int(k) for k, _ in anchors]
+        refs = (np.array([np.asarray(v, dtype=float) for _, v in anchors])
                 if ids else np.empty((0, STATE_DIM)))
         sep = _table(separations or [], 3, "separation")
         orde = _table(orderings or [], 4, "ordering")
@@ -124,6 +124,9 @@ class ConstraintSet:
         for ids in (self.anchor_ids, self.sep_a, self.sep_b, self.ord_a, self.ord_b):
             if ids.size and (ids.min() < 0 or ids.max() >= n):
                 raise ConstraintError("constraint references a missing node")
+        counts = np.bincount(self.anchor_ids, minlength=1)
+        if counts.max() > 1:
+            raise ConstraintError(f"node {counts.argmax()} has two anchors")
         if self.anchor_refs.shape != (self.anchor_ids.size, STATE_DIM):
             raise ConstraintError("anchor reference shape mismatch")
         if np.any(self.sep_a == self.sep_b) or np.any(self.ord_a == self.ord_b):

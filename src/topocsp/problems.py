@@ -71,9 +71,7 @@ class ProblemInstance:
             if not ok:
                 raise ConstraintError(f"{key} must be {what}")
         cs = ConstraintSet.build(
-            d["n"],
-            anchors={int(k): np.asarray(v, dtype=float)
-                     for k, v in anchors.items()},
+            d["n"], anchors=anchors,
             separations=d.get("separations", []),
             orderings=d.get("orderings", []),
         )

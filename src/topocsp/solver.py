@@ -5,16 +5,17 @@ projection loop on one batch holding a copy of the current states per
 candidate (loss weights, gating scalar), re-weights each candidate's
 trace energies under the fixed reference weights, scores each end state by
 the last of them, and adopts the best candidate's states and trace; the
-adopted traces, joined in order, are the solve's trace. With the evolution
-strategy enabled, the candidates are a small population sampled from it,
-the ranking is fed back to it, and the reference-weighted gradient norms
-of the trace are computed for the adopted candidate only. Without it, the
-one candidate is the reference weights with DEFAULT_BETA, every
-generation; the gradient of the start check, then each call's final_grad,
-is carried into the next call, so that no state is evaluated twice and a
-run of k sweeps evaluates the loss k + 1 times (plus the line search's).
-Reported energies always use the reference weights under the variant's own
-normalization.
+adopted traces, joined in order, are the solve's trace, and each row keeps
+the pair its sweep ran under. With the evolution strategy enabled, the
+candidates are a small population sampled from it, its mean starting at
+the reference pair (the reference weights with DEFAULT_BETA), the ranking
+is fed back to it, and the reference-weighted gradient norms of the trace
+are computed for the adopted candidate only. Without it, the one candidate
+is the reference pair, every generation; the gradient of the start check,
+then each call's final_grad, is carried into the next call, so that no
+state is evaluated twice and a run of k sweeps evaluates the loss k + 1
+times (plus the line search's). Reported energies always use the reference
+weights under the variant's own normalization.
 
 A run stops at the sweep budget, which its last call is cut to fit, or
 below DEEP_TOLERANCE. A fixed-weight run also stops once its call ends at a
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import constraints as C
-from .cmaes import (DEFAULT_SIGMA0, DEFAULT_THETA_MEAN, STALL_GENERATIONS,
-                    ParamEncoding, cma_ask, cma_init, cma_tell, stall_count)
+from .cmaes import (DEFAULT_SIGMA0, STALL_GENERATIONS, ParamEncoding,
+                    cma_ask, cma_init, cma_tell, stall_count)
 from .errors import DivergenceError
 from .problems import physics_aware_init
 from .projection import (ROW_FIELDS, ProjectionConfig, ProjectionTrace,
@@ -42,8 +43,7 @@ from .projection import (ROW_FIELDS, ProjectionConfig, ProjectionTrace,
 
 DEFAULT_BUDGET = 500
 DEFAULT_BETA = 0.8
-SUCCESS_THRESHOLD = C.SUCCESS_THRESHOLD
-DEEP_TOLERANCE = SUCCESS_THRESHOLD * 1e-3  # stop refining below this energy
+DEEP_TOLERANCE = C.SUCCESS_THRESHOLD * 1e-3  # stop refining below this energy
 GUARD_PATIENCE = 3
 _EVENT_EPS = 1e-12
 N_PROBES = 5  # update-map probes per solve (update_map_spectrum)
@@ -105,10 +105,11 @@ class SolveResult:
     so rows stay comparable when the search varies the weights; the family
     columns are the unweighted losses under the variant's normalization.
     Its start_states hold the adopted sweeps' start states when the solve
-    ran with record_states=True, and are empty, (0, n, 64), otherwise; then
-    recorded_params holds each of those sweeps' (lambdas, beta). Its
-    sweeps_evaluated counts every candidate sweep computed, and its failure
-    says why the run diverged.
+    ran with record_states=True, and are empty, (0, n, 64), otherwise.
+    Its sweeps_evaluated counts every candidate sweep computed, and its
+    failure says why the run diverged. adopted_params holds each trace
+    row's (lambdas, beta), one per step, and adopted_energies each
+    generation's adopted energy.
 
     stopped_by names why the run ended, in OptimizeResult's vocabulary:
     "budget" (it used its sweep budget, which steps never exceeds),
@@ -130,7 +131,6 @@ class SolveResult:
     guard_triggers: int = 0
     adopted_energies: list = field(default_factory=list)
     adopted_params: list = field(default_factory=list)
-    recorded_params: list = field(default_factory=list)
 
     @property
     def steps(self):
@@ -168,7 +168,6 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         raise ValueError("budget must be >= 1")
     t0 = time.perf_counter()
     cs = inst.constraints
-    norm = C.MSE if vc.use_mse else C.SSE
     ref = C.DEFAULT_WEIGHTS
     cfg = _projection_config(vc)
 
@@ -177,7 +176,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         states[:, :C.POSITION_DIM] = physics_aware_init(inst.n, seed,
                                                         inst.min_sep)
 
-    start = C.loss_components(states, cs, norm, ref)
+    start = C.loss_components(states, cs, cfg.norm, ref)
     e_curr = start.l_total
     if not np.isfinite(e_curr):
         raise ValueError(f"start energy is not finite: {e_curr}")
@@ -195,11 +194,12 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     adopted_energies = []
     failure = None
     adopted_params = []
-    recorded_params = []
 
     search = vc.use_cmaes
     if search:
-        st = cma_init(ParamEncoding.DIM, DEFAULT_THETA_MEAN, DEFAULT_SIGMA0)
+        st = cma_init(ParamEncoding.DIM,
+                      ParamEncoding.encode(ref_w, DEFAULT_BETA),
+                      DEFAULT_SIGMA0)
         rng = np.random.default_rng(seed)
     else:
         params = [(ref_w, DEFAULT_BETA)]
@@ -238,7 +238,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
                 failure = "all candidates diverged"
                 break
             trace.grad_max, trace.grad_mean = grad_stats(
-                trace.start_states, cs, ref, norm)
+                trace.start_states, cs, ref, cfg.norm)
         else:
             # a call cut short without a failure ended at a fixed point (or
             # at tau, below DEEP_TOLERANCE): every later call would repeat it
@@ -248,16 +248,14 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         trace.start_states = (trace.start_states.copy() if record_states
                               else no_states)
         adopted.append(trace)
+        adopted_params += [(lambdas, beta)] * trace.iterations_run
         steps += trace.iterations_run
-        if record_states:
-            recorded_params += [(lambdas, beta)] * trace.iterations_run
         if trace.failure is not None:
             # the fixed run keeps the rows swept before it failed
             failure = trace.failure
             break
         states = outs[best_i].copy()
         del outs, traces, trace, tr  # free the batch before the next one
-        adopted_params.append((lambdas, beta))
         e_new = float(fits[best_i])
         if e_new > e_curr + _EVENT_EPS:
             events += 1
@@ -295,7 +293,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         final_energy=final_energy,
         generations=st.generation if search else 0,
         wall_time=time.perf_counter() - t0,
-        success=failure is None and final_energy < SUCCESS_THRESHOLD,
+        success=failure is None and final_energy < C.SUCCESS_THRESHOLD,
         trace=trace,
         violations=C.violation_stats(final_states, cs),
         stopped_by=stopped_by,
@@ -303,7 +301,6 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         guard_triggers=guard_triggers,
         adopted_energies=adopted_energies,
         adopted_params=adopted_params,
-        recorded_params=recorded_params,
     )
 
 
@@ -334,7 +331,7 @@ def update_map_spectrum(res, cs, vc):
     with record_states=True.
 
     Probes the map at up to N_PROBES evenly sampled recorded sweeps (the
-    trace's start_states, under their recorded_params), at the node with
+    trace's start_states, under their adopted_params), at the node with
     the largest gradient norm, and returns the max eigenvalue and the
     condition number of the symmetrized Jacobian, each maximized over the
     probes; (0.0, 0.0) when nothing was recorded.
@@ -349,7 +346,7 @@ def update_map_spectrum(res, cs, vc):
                         .round().astype(int))
         for t in idx:
             snap = recorded[t]
-            lambdas, beta = res.recorded_params[t]
+            lambdas, beta = res.adopted_params[t]
             w = C.LossWeights(*lambdas)
             g = C.loss_gradient(snap, cs, w, cfg.norm)
             node = int(np.argmax(np.linalg.norm(g, axis=1)))

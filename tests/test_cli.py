@@ -95,6 +95,19 @@ def test_solve_from_instance_file(tmp_path, capsys):
     assert json.loads(out)["n"] == 3
 
 
+def test_two_keys_for_one_anchor_rejected(tmp_path, capsys):
+    d = generate_instance(4, seed=0).to_json_dict()
+    d["anchors"]["01"] = [0.5] * 64  # names node 1, as "1" does
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run_main(["solve", "--instance", str(path),
+                               "--variant", "baseline", "--budget", "5"],
+                              capsys)
+    assert code == 1
+    assert out == ""
+    assert "node 1 has two anchors" in err
+
+
 def test_solve_requires_input(capsys):
     code, _, err = run_main(["solve"], capsys)
     assert code == 1

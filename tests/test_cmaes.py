@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from topocsp.cmaes import (DEFAULT_SIGMA0, DEFAULT_THETA_MEAN, CmaState,
-                           OptimizeResult, ParamEncoding, cma_ask, cma_init,
-                           cma_optimize, cma_tell, default_population,
-                           selection_weights)
+from topocsp.cmaes import (DEFAULT_SIGMA0, CmaState, OptimizeResult,
+                           ParamEncoding, cma_ask, cma_init, cma_optimize,
+                           cma_tell, default_population, selection_weights)
 
 
 def sphere(x):
@@ -208,11 +207,7 @@ def test_param_encoding_round_trip(rng):
         assert beta2 == pytest.approx(beta, rel=1e-10)
 
 
-def test_default_theta_decodes_to_reference_params():
-    enc = ParamEncoding()
-    lam, beta = enc.decode(DEFAULT_THETA_MEAN)
-    assert np.allclose(lam, [1.0, 10.0, 2.0], rtol=1e-12)
-    assert beta == pytest.approx(0.8, rel=1e-12)
+def test_default_sigma0():
     assert DEFAULT_SIGMA0 == 0.3
 
 

@@ -225,6 +225,12 @@ def test_constraint_set_validation():
                             orderings=[(0, 1, 4, 0.1)])
 
 
+def test_repeated_anchor_ids_rejected():
+    with pytest.raises(ConstraintError, match="node 2 has two anchors"):
+        ConstraintSet(n_nodes=3, anchor_ids=np.array([2, 0, 2]),
+                      anchor_refs=np.zeros((3, 64)))
+
+
 def test_violation_stats_values():
     states = np.zeros((2, 64))
     states[1, 0] = 0.05

@@ -6,7 +6,8 @@ import pytest
 
 from topocsp import constraints as C
 from topocsp import solver
-from topocsp.cmaes import STALL_GENERATIONS, STALL_REL
+from topocsp.cmaes import (STALL_GENERATIONS, STALL_REL, ParamEncoding,
+                            cma_init)
 from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, ConstraintSet,
                                  LossWeights, total_energy)
 from topocsp.errors import DivergenceError
@@ -176,15 +177,58 @@ def test_start_states_recorded_only_on_request(name):
     inst = generate_instance(5, seed=8)
     res = solve(inst, variant(name), budget=30, seed=8)
     assert res.trace.start_states.shape == (0, 5, 64)
-    assert res.recorded_params == []
     rec = solve(inst, variant(name), budget=30, seed=8, record_states=True)
     assert rec.trace.start_states.shape == (rec.steps, 5, 64)
-    assert len(rec.recorded_params) == rec.steps
-    # recording changes nothing else
+    # recording changes nothing else, the pair of each row included
+    assert len(rec.adopted_params) == len(res.adopted_params) == res.steps
+    for (lam, beta), (lam_r, beta_r) in zip(res.adopted_params,
+                                            rec.adopted_params):
+        assert np.array_equal(lam, lam_r) and beta == beta_r
     assert np.array_equal(rec.trace.l_total, res.trace.l_total)
     assert np.array_equal(rec.final_states, res.final_states)
     if not variant(name).use_physics_init:
         assert np.array_equal(rec.trace.start_states[0], inst.initial_states)
+
+
+def test_search_starts_from_reference_pair(monkeypatch):
+    means = []
+
+    def spying(d, m0, sigma0):
+        means.append(np.array(m0))
+        return cma_init(d, m0, sigma0)
+    monkeypatch.setattr(solver, "cma_init", spying)
+    monkeypatch.setattr(solver, "DEFAULT_BETA", 0.5)
+    solve(generate_instance(4, seed=3), variant("v2"), budget=20, seed=3)
+    (m0,) = means
+    lam, beta = ParamEncoding.decode(m0)
+    assert np.allclose(lam, DEFAULT_WEIGHTS.as_array(), rtol=1e-12)
+    assert beta == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("record", [False, True])
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_adopted_params_hold_one_pair_per_row(monkeypatch, name, record):
+    calls = []
+
+    def spying(batch, cs, weights, beta, cfg, grad=None):
+        outs, traces = project_states(batch, cs, weights, beta, cfg, grad)
+        calls.append((weights, beta, traces))
+        return outs, traces
+    monkeypatch.setattr(solver, "project_states", spying)
+    res = solve(generate_instance(5, seed=8), variant(name), budget=30,
+                seed=8, record_states=record)
+    assert len(res.adopted_params) == res.steps
+    # each call's adopted candidate scores lowest under the reference
+    # weights, which solve wrote into its traces' l_total
+    want, rows = [], []
+    for weights, beta, traces in calls:
+        i = int(np.argmin([tr.l_total[-1] for tr in traces]))
+        want += [(weights[i], beta[i])] * traces[i].iterations_run
+        rows.append(traces[i].l_total)
+    assert np.array_equal(np.concatenate(rows), res.trace.l_total)
+    assert len(want) == res.steps
+    for (lam, b), (lam_w, b_w) in zip(res.adopted_params, want):
+        assert np.array_equal(lam, lam_w) and b == b_w
 
 
 @pytest.mark.parametrize("record", [False, True])
@@ -471,6 +515,18 @@ def test_fixed_run_divergence_keeps_its_partial_rows(monkeypatch):
     assert res.adopted_energies == [float(first.l_total[-1])]
     assert res.final_energy == res.adopted_energies[0]
     assert np.isfinite(res.final_states).all()
+
+
+@pytest.mark.parametrize("name", ["baseline", "v1"])
+def test_fixed_run_divergence_keeps_a_pair_per_kept_row(monkeypatch, name):
+    fail_from_call(monkeypatch, 2)
+    res = solve(generate_instance(6, seed=0), variant(name), seed=0)
+    assert res.diverged
+    assert res.steps == 10 + KEPT
+    assert len(res.adopted_params) == res.steps
+    for lam, beta in res.adopted_params:
+        assert np.array_equal(lam, DEFAULT_WEIGHTS.as_array())
+        assert beta == solver.DEFAULT_BETA
 
 
 def test_search_divergence_keeps_only_adopted_rows(monkeypatch):

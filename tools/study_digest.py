@@ -71,6 +71,13 @@ def _recorded_states(res):
     return np.array(res.recorded_states) if states is None else states
 
 
+def _row_params(res):
+    """Each trace row's (lambdas, beta): SolveResult.adopted_params, or
+    SolveResult.recorded_params on a checkout that still has it, where
+    adopted_params holds one pair per generation."""
+    return getattr(res, "recorded_params", res.adopted_params)
+
+
 def _report(report, header):
     return {"rows": [dict(zip(header, row)) for row in report.rows],
             "summary": report.summary, "failures": report.failures}
@@ -88,7 +95,7 @@ def _record_studies(topocsp, master_seed, records):
         if kwargs.get("record_states"):
             records[key]["start_states"] = _sha(_recorded_states(res))
             records[key]["recorded_params"] = _sha(
-                *(np.append(lam, beta) for lam, beta in res.recorded_params))
+                *(np.append(lam, beta) for lam, beta in _row_params(res)))
         return res
 
     runs = (
