@@ -91,6 +91,7 @@ class ConstraintSet:
 
     def __post_init__(self):
         self._validate()
+        self._cell_table = None  # _cells' table of row-offset cells
 
     @classmethod
     def build(cls, n_nodes, anchors=None, separations=None, orderings=None):
@@ -98,18 +99,23 @@ class ConstraintSet:
 
         anchors: {id: 64-vector}; separations: [(a, b, min_dist)];
         orderings: [(a, b, axis, margin)]. Raises ConstraintError when
-        n_nodes, a node id or an axis is not a whole number, or a row does
-        not hold that many numbers.
+        n_nodes, a node id or an axis is not a whole number or is out of
+        range, or a row does not hold that many numbers.
         """
-        anchors = sorted((anchors or {}).items(), key=lambda kv: int(kv[0]))
-        ids = [int(k) for k, _ in anchors]
+        n = _whole(n_nodes, "n_nodes")
+        anchors = sorted(((_whole(k, "anchor id"), v)
+                          for k, v in (anchors or {}).items()),
+                         key=lambda kv: kv[0])
+        ids = np.array([k for k, _ in anchors], dtype=float)
         refs = (np.array([np.asarray(v, dtype=float) for _, v in anchors])
-                if ids else np.empty((0, STATE_DIM)))
+                if anchors else np.empty((0, STATE_DIM)))
         sep = _table(separations or [], 3, "separation")
         orde = _table(orderings or [], 4, "ordering")
+        # checked as floats: an id too large for an int must not be cast
+        _check_ranges(n, (ids, sep[:, :2], orde[:, :2]), orde[:, 2])
         return cls(
-            n_nodes=_whole(n_nodes, "n_nodes"),
-            anchor_ids=np.array(ids, dtype=int),
+            n_nodes=n,
+            anchor_ids=ids.astype(int),
             anchor_refs=refs,
             sep_a=sep[:, 0].astype(int), sep_b=sep[:, 1].astype(int),
             sep_dist=sep[:, 2],
@@ -118,12 +124,8 @@ class ConstraintSet:
         )
 
     def _validate(self):
-        n = self.n_nodes
-        if n < 1:
-            raise ConstraintError("n_nodes must be >= 1")
-        for ids in (self.anchor_ids, self.sep_a, self.sep_b, self.ord_a, self.ord_b):
-            if ids.size and (ids.min() < 0 or ids.max() >= n):
-                raise ConstraintError("constraint references a missing node")
+        _check_ranges(self.n_nodes, (self.anchor_ids, self.sep_a, self.sep_b,
+                                     self.ord_a, self.ord_b), self.ord_axis)
         counts = np.bincount(self.anchor_ids, minlength=1)
         if counts.max() > 1:
             raise ConstraintError(f"node {counts.argmax()} has two anchors")
@@ -140,9 +142,6 @@ class ConstraintSet:
             raise ConstraintError("min_dist must be positive")
         if np.any(self.ord_margin < 0):
             raise ConstraintError("ordering margin must be non-negative")
-        if self.ord_axis.size and (np.any(self.ord_axis < 0)
-                                   or np.any(self.ord_axis >= POSITION_DIM)):
-            raise ConstraintError("ordering axis must be in {0, 1, 2}")
 
     @cached_property
     def _anchor_cells(self):
@@ -150,42 +149,21 @@ class ConstraintSet:
         return (self.anchor_ids[:, None] * STATE_DIM
                 + np.arange(STATE_DIM)).ravel()
 
-    @cached_property
-    def _by_batch(self):
-        """_cells' cache: batch size -> (anchor cells, ordering cells)."""
-        return {}
-
     def _cells(self, p):
         """(anchor cells, ordering cells) of a flat batch of p rows, each
-        row's offset added, cached per batch size. One row's are the set's
-        own cells. A batch larger than any seen builds the cells anew; a
-        smaller one takes a view of the first rows of the largest, so the
-        cache holds the largest batch's cells, not their sum over the sizes
-        seen."""
+        row's offset added. One row's are the set's own cells; p rows are
+        the first p rows of one table, built for the largest batch seen and
+        rebuilt when a larger one arrives, so a set holds one batch's
+        cells."""
         if p == 1:
             return self._anchor_cells, self._ordering_cells
-        cells = self._by_batch.get(p)
-        if cells is None:
-            top = max(self._by_batch, default=0)
-            if p > top:
-                size = self.n_nodes * STATE_DIM
-                offset = np.arange(0, p * size, size)[:, None]
-                cells = ((offset + self._anchor_cells).ravel(),
-                         (offset + self._ordering_cells).ravel())
-                # the smaller sizes' views would keep the old cells alive
-                self._by_batch.clear()
-            else:
-                anchors, orderings = self._by_batch[top]
-                cells = (anchors[:p * self._anchor_cells.size],
-                         orderings[:p * self._ordering_cells.size])
-            self._by_batch[p] = cells
-        return cells
-
-    @cached_property
-    def _anchor_row(self):
-        """The anchor references as one flat row, aligned with
-        _anchor_cells."""
-        return self.anchor_refs.ravel()
+        if self._cell_table is None or len(self._cell_table[0]) < p:
+            size = self.n_nodes * STATE_DIM
+            offset = np.arange(0, p * size, size)[:, None]
+            self._cell_table = (offset + self._anchor_cells,
+                                offset + self._ordering_cells)
+        anchors, orderings = self._cell_table
+        return anchors[:p].ravel(), orderings[:p].ravel()
 
     @cached_property
     def _separation_cells(self):
@@ -219,14 +197,27 @@ class ConstraintSet:
 
 
 def _whole(x, what):
-    """x as an int; raises ConstraintError unless x is a whole number."""
+    """x as an int; raises ConstraintError unless x is a whole number. A
+    boolean is not one."""
     try:
-        v = float(x)
+        v = float("nan") if isinstance(x, (bool, np.bool_)) else float(x)
     except (TypeError, ValueError):
         v = float("nan")
     if not v.is_integer():
         raise ConstraintError(f"{what} must be a whole number, got {x!r}")
     return int(v)
+
+
+def _check_ranges(n, id_arrays, axes):
+    """Raises ConstraintError unless n >= 1, every node id lies in [0, n)
+    and every axis in {0, 1, 2}."""
+    if n < 1:
+        raise ConstraintError("n_nodes must be >= 1")
+    for ids in id_arrays:
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ConstraintError("constraint references a missing node")
+    if axes.size and (axes.min() < 0 or axes.max() >= POSITION_DIM):
+        raise ConstraintError("ordering axis must be in {0, 1, 2}")
 
 
 def _table(rows, width, name):
@@ -328,7 +319,7 @@ def loss_components(states, cs, norm=MSE, weights=None):
     anchor_cells, ordering_cells = cs._cells(p_count)
 
     resid = flat.take(cs._anchor_cells, axis=1)
-    resid -= cs._anchor_row
+    resid -= cs.anchor_refs.ravel()
     l_data = row_sums(resid * resid) / d_data
     coef = 2.0 * w[:, 0] / d_data
     cells = [anchor_cells]

@@ -84,14 +84,27 @@ class ProblemInstance:
 
     @classmethod
     def load(cls, path):
+        """Instance from a JSON file; a key repeated in any object raises
+        ConstraintError, since json would keep only its last value."""
         with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+            return cls.from_json_dict(
+                json.load(f, object_pairs_hook=_unique_keys))
 
     @property
     def min_sep(self):
         if self.constraints.n_separations:
             return float(self.constraints.sep_dist.max())
         return DEFAULT_MIN_SEP
+
+
+def _unique_keys(pairs):
+    """A JSON object's dict; raises ConstraintError on a repeated key."""
+    d = {}
+    for key, value in pairs:
+        if key in d:
+            raise ConstraintError(f"key {key!r} appears twice in one object")
+        d[key] = value
+    return d
 
 
 def _is_number(x):

@@ -6,8 +6,9 @@ copy of the spec so the study can be rerun from its output directory. The
 seeds, scaling and ablation studies share one run loop and one writer; each
 of their runs is isolated (a failing run becomes a failed row), and their
 summary files are strict JSON, with null for a non-finite value, listing
-each failed run with its reason. A raise from solve or update_map_spectrum
-aborts the stability study.
+each failed run with its reason. The stability study records a run that
+raises the same way, in its arm's failures, and leaves it out of the arm's
+figures.
 """
 from __future__ import annotations
 
@@ -176,6 +177,10 @@ def _mean(values):
     return float(np.mean(values)) if values else float("nan")
 
 
+def _max(values):
+    return float(np.max(values)) if values else float("nan")
+
+
 def _mean_std(values):
     vals = np.array([v for v in values if np.isfinite(v)])
     if vals.size == 0:
@@ -327,32 +332,45 @@ def run_stability_study(n=6, n_seeds=20, budget=DEFAULT_BUDGET,
 
     Returns {label: {grad_mean, grad_max, divergences,
     energy_increase_events, lambda_max, cond, mean_energy}}; lambda_max and
-    cond come from update_map_spectrum, maximized over the runs.
+    cond come from update_map_spectrum, maximized over the runs. A run whose
+    solve or update_map_spectrum raises is left out of its arm's figures
+    and listed, as {variant, n, seed, error}, in the arm's failures, a key
+    present only when a run failed; an arm with no finished run reports NaN
+    for its float figures.
     """
     full = variant("v2")
     no_delta = dict(ablation_configs())["full-delta"]
     seeds = [derive_seed(master_seed, "v2", n, i) for i in range(n_seeds)]
     out = {}
     for label, vc in (("full", full), ("no-delta", no_delta)):
-        runs = []
+        runs, failures = [], []
         for s in seeds:
-            inst = generate_instance(n, s)
-            res = solve(inst, vc, budget=budget, seed=s, record_states=True)
-            runs.append((_mean_grad_norm(res),
-                         float(res.trace.grad_max.max()) if res.steps else 0.0,
-                         res.diverged, res.energy_increase_events,
-                         *update_map_spectrum(res, inst.constraints, vc),
-                         res.final_energy))
-        g_mean, g_max, diverged, events, lam, cond, energy = zip(*runs)
+            try:
+                inst = generate_instance(n, s)
+                res = solve(inst, vc, budget=budget, seed=s,
+                            record_states=True)
+                runs.append((_mean_grad_norm(res),
+                             float(res.trace.grad_max.max())
+                             if res.steps else 0.0,
+                             res.diverged, res.energy_increase_events,
+                             *update_map_spectrum(res, inst.constraints, vc),
+                             res.final_energy))
+            except Exception as err:
+                failures.append({"variant": vc.name, "n": n, "seed": s,
+                                 "error": f"{type(err).__name__}: {err}"})
+        g_mean, g_max, diverged, events, lam, cond, energy = (
+            zip(*runs) if runs else [()] * 7)
         out[label] = {
-            "grad_mean": float(np.mean(g_mean)),
-            "grad_max": float(np.max(g_max)),
+            "grad_mean": _mean(g_mean),
+            "grad_max": _max(g_max),
             "divergences": int(sum(diverged)),
             "energy_increase_events": int(sum(events)),
-            "lambda_max": float(np.max(lam)),
-            "cond": float(np.max(cond)),
-            "mean_energy": float(np.mean(energy)),
+            "lambda_max": _max(lam),
+            "cond": _max(cond),
+            "mean_energy": _mean(energy),
         }
+        if failures:
+            out[label]["failures"] = failures
     return out
 
 

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,25 @@ def test_two_keys_for_one_anchor_rejected(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "node 1 has two anchors" in err
+
+
+@pytest.mark.parametrize("key,where,value", [
+    ("1", '"anchors": {', json.dumps([0.5] * 64)), ("n", "{", "4")],
+    ids=["anchor key", "top-level key"])
+def test_repeated_key_rejected(tmp_path, capsys, key, where, value):
+    # json keeps a repeated key's last value, so the first would be dropped
+    # without a word
+    text = json.dumps(generate_instance(4, seed=0).to_json_dict())
+    text = text.replace(where, f'{where}"{key}": {value}, ', 1)
+    assert text.count(f'"{key}":') == 2
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    code, out, err = run_main(["solve", "--instance", str(path),
+                               "--variant", "baseline", "--budget", "5"],
+                              capsys)
+    assert code == 1
+    assert out == ""
+    assert f"key '{key}' appears twice" in err
 
 
 def test_solve_requires_input(capsys):
@@ -295,6 +315,12 @@ def _malformed(d, shape):
         d["anchors"]["0"] = [0.1, 0.2, 0.3]
     elif shape in ("missing n", "missing states"):
         del d[shape.split()[1]]
+    elif shape == "huge anchor key":  # too large for an int
+        d["anchors"]["99999999999999999999"] = d["anchors"].pop("0")
+    elif shape == "huge separation id":
+        d["separations"][0][0] = 1e20
+    elif shape in ("huge ordering id", "huge ordering axis"):
+        d["orderings"][0][0 if "id" in shape else 2] = 1e20
     return d
 
 
@@ -310,18 +336,22 @@ _NAMED = {"string n": "n must be", "boolean n": "n must be",
 
 @pytest.mark.parametrize("shape", [
     "top-level list", "anchors list", "anchors null", "null ordering row",
-    "fractional n", "fractional node id", *_NAMED])
+    "fractional n", "fractional node id", "huge anchor key",
+    "huge separation id", "huge ordering id", "huge ordering axis", *_NAMED])
 def test_malformed_instance_is_a_usage_error(tmp_path, capsys, shape):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(
         _malformed(generate_instance(4, 0).to_json_dict(), shape)))
-    code, out, err = run_main(["solve", "--instance", str(path),
-                               "--variant", "baseline", "--budget", "5"],
-                              capsys)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_main(["solve", "--instance", str(path),
+                                   "--variant", "baseline", "--budget", "5"],
+                                  capsys)
     assert code == 1
     assert out == ""
-    assert err.startswith("topocsp: error:")
+    assert err.startswith("topocsp: error:") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert caught == []  # such as numpy's warning on an int cast
     assert _NAMED.get(shape, "") in err
 
 

@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -225,6 +227,26 @@ def test_constraint_set_validation():
                             orderings=[(0, 1, 4, 0.1)])
 
 
+@pytest.mark.parametrize("key", [1.5, True, np.True_, "1.5", float("inf")],
+                         ids=["float", "bool", "numpy bool", "string", "inf"])
+def test_anchor_id_must_be_a_whole_number(key):
+    # 1.5 and True would both anchor node 1
+    with pytest.raises(ConstraintError, match="anchor id must be a whole"):
+        ConstraintSet.build(4, anchors={key: np.zeros(64)})
+
+
+@pytest.mark.parametrize("field,rows", [
+    ("anchors", {10**20: np.zeros(64)}),
+    ("separations", [(0, 1e20, 0.1)]),
+    ("orderings", [(0, 1, 1e20, 0.0)]),
+    ("orderings", [(-1e20, 1, 0, 0.0)])])
+def test_out_of_range_ids_rejected_before_cast(field, rows):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstraintError, match="missing node|axis"):
+            ConstraintSet.build(4, **{field: rows})
+
+
 def test_repeated_anchor_ids_rejected():
     with pytest.raises(ConstraintError, match="node 2 has two anchors"):
         ConstraintSet(n_nodes=3, anchor_ids=np.array([2, 0, 2]),
@@ -358,6 +380,29 @@ def test_cell_caches_are_per_constraint_set(rng):
             ok = ~kink_mask(states[q], cs)
             assert np.all(np.abs(grads[i, 3][q] - fd)[ok]
                           < 1e-5 * np.maximum(np.abs(fd[ok]), 1.0))
+
+
+def test_smaller_batch_after_larger_reads_the_same_bits(rng):
+    # the search evaluates one set at 8 rows, then fewer as rows leave, then
+    # grad_stats' k <= 10: each batch gives every row the bits it has alone,
+    # and a larger batch frees the smaller table's cells
+    n = 7
+    cs = random_constraint_set(rng, n)
+    states = rng.uniform(-0.4, 0.4, size=(10, n, 64))
+    states[..., :3] *= 0.2
+    rows = rng.uniform(0.1, 20.0, size=(10, 3))
+    alone = [loss_components(states[q], cs, SSE, LossWeights(*rows[q]))
+             for q in range(10)]
+    assert any(np.any(a.grad[:, :3] != 0.0) for a in alone)
+    for p in (8, 3, 10, 5):
+        if p == 10:
+            tables = [weakref.ref(c.base) for c in cs._cells(8)]
+        batch = loss_components(states[:p], cs, SSE, rows[:p])
+        if p == 10:  # the 10-row table replaced the 8-row one
+            assert all(ref() is None for ref in tables)
+        for q in range(p):
+            assert batch.grad[q].tobytes() == alone[q].grad.tobytes()
+            assert batch.l_total[q] == alone[q].l_total
 
 
 def pinned_loss_sets():

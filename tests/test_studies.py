@@ -305,6 +305,42 @@ def test_stability_study_values():
     }
 
 
+def test_stability_study_records_a_raise(monkeypatch):
+    # a raise in one run becomes a failure of that arm, and the arm's
+    # figures come from the runs that finished
+    seeds = [derive_seed(42, "v2", 3, i) for i in range(2)]
+    real = studies.solve
+
+    def fail_first_full_seed(inst, vc, **kwargs):
+        if vc.name == "v2" and kwargs["seed"] == seeds[0]:
+            raise RuntimeError("boom")
+        return real(inst, vc, **kwargs)
+    monkeypatch.setattr(studies, "solve", fail_first_full_seed)
+    out = run_stability_study(n=3, n_seeds=2, budget=20, master_seed=42)
+    assert out["full"]["failures"] == [
+        {"variant": "v2", "n": 3, "seed": seeds[0],
+         "error": "RuntimeError: boom"}]
+    assert "failures" not in out["no-delta"]
+    alone = real(generate_instance(3, seeds[1]), variant("v2"), budget=20,
+                 seed=seeds[1])
+    assert out["full"]["mean_energy"] == alone.final_energy
+    assert out["no-delta"]["mean_energy"] == 0.2403244206002287
+
+
+def test_stability_arm_with_no_finished_run_reports_nan(monkeypatch):
+    def no_spectrum(res, cs, vc):
+        raise FloatingPointError("no spectrum")
+    monkeypatch.setattr(studies, "update_map_spectrum", no_spectrum)
+    out = run_stability_study(n=3, n_seeds=2, budget=20, master_seed=42)
+    for label, stats in out.items():
+        assert [f["error"] for f in stats["failures"]] == [
+            "FloatingPointError: no spectrum"] * 2
+        for key in ("grad_mean", "grad_max", "lambda_max", "cond",
+                    "mean_energy"):
+            assert np.isnan(stats[key])
+        assert stats["divergences"] == stats["energy_increase_events"] == 0
+
+
 def test_stability_study_structure():
     out = run_stability_study(n=3, n_seeds=2, budget=20, master_seed=42)
     assert set(out) == {"full", "no-delta"}

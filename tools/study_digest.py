@@ -64,20 +64,6 @@ def _solve_record(res):
     }
 
 
-def _recorded_states(res):
-    """The start states a solve recorded: its trace's start_states, or
-    SolveResult.recorded_states on a checkout that still has it."""
-    states = getattr(res.trace, "start_states", None)
-    return np.array(res.recorded_states) if states is None else states
-
-
-def _row_params(res):
-    """Each trace row's (lambdas, beta): SolveResult.adopted_params, or
-    SolveResult.recorded_params on a checkout that still has it, where
-    adopted_params holds one pair per generation."""
-    return getattr(res, "recorded_params", res.adopted_params)
-
-
 def _report(report, header):
     return {"rows": [dict(zip(header, row)) for row in report.rows],
             "summary": report.summary, "failures": report.failures}
@@ -93,9 +79,10 @@ def _record_studies(topocsp, master_seed, records):
         key = f"{study[0]}/{vc.name}/n={inst.n}/seed={kwargs['seed']}"
         records[key] = _solve_record(res)
         if kwargs.get("record_states"):
-            records[key]["start_states"] = _sha(_recorded_states(res))
+            records[key]["start_states"] = _sha(res.trace.start_states)
+            # the per-row pairs keep their old key, so digests stay comparable
             records[key]["recorded_params"] = _sha(
-                *(np.append(lam, beta) for lam, beta in _row_params(res)))
+                *(np.append(lam, beta) for lam, beta in res.adopted_params))
         return res
 
     runs = (
