@@ -2,8 +2,8 @@
 
   solve  --n INT --seed INT --variant NAME --budget INT
          [--instance FILE.json] [--trace OUT.csv] [--dump-curvature]
-  bench  {seeds,scaling,ablation} --out DIR [--seeds N] [--sizes 2,4,...]
-         [--n INT] [--budget INT] [--master-seed INT]
+  bench  {seeds,scaling,ablation} --out DIR [--seeds N] [--budget INT]
+         [--master-seed INT] [--sizes 2,4,... (scaling) | --n INT (others)]
 
 Exit codes: 0 on success, 1 on usage and file errors, 2 when a run
 diverged or a study completed with failed runs.
@@ -25,6 +25,7 @@ from .studies import (DEFAULT_MASTER_SEED, DEFAULT_SIZES,
 
 USAGE_EXIT = 1
 FAILED_RUNS_EXIT = 2
+BENCH_N = 6  # size of the seeds and ablation studies unless --n is given
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,9 +80,11 @@ def build_parser():
     pb.add_argument("--out", required=True, help="output directory")
     pb.add_argument("--seeds", type=int, default=20, dest="n_seeds")
     pb.add_argument("--sizes", type=_parse_sizes,
-                    default=DEFAULT_SIZES, help="comma-separated sizes")
-    pb.add_argument("--n", type=int, default=6,
-                    help="size for seeds/ablation studies")
+                    help="comma-separated sizes of the scaling study "
+                         f"(default {','.join(map(str, DEFAULT_SIZES))})")
+    pb.add_argument("--n", type=int,
+                    help=f"size for seeds/ablation studies (default "
+                         f"{BENCH_N})")
     pb.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     pb.add_argument("--master-seed", type=int, default=DEFAULT_MASTER_SEED)
     return parser
@@ -130,9 +133,18 @@ def _usage_error(message):
 
 
 def _cmd_bench(args):
+    # a size option the study does not read is an error, not ignored
+    scaling = args.study == "scaling"
+    if (args.n if scaling else args.sizes) is not None:
+        raise SystemExit(_usage_error(
+            f"{'--n' if scaling else '--sizes'} does not apply to the "
+            f"{args.study} study"))
+    if scaling:
+        sizes = args.sizes or DEFAULT_SIZES
+    else:
+        sizes = (BENCH_N if args.n is None else args.n,)
     spec = StudySpec(
-        study=args.study,
-        sizes=args.sizes if args.study == "scaling" else (args.n,),
+        study=args.study, sizes=sizes,
         variants=SEED_STUDY_VARIANTS if args.study == "seeds" else ("v2",),
         n_seeds=args.n_seeds, out_dir=args.out, budget=args.budget,
         master_seed=args.master_seed)

@@ -9,9 +9,10 @@ Positions are the first 3 components of the bound block. Energy is the
 weighted sum of the family losses; each family may be normalized by its
 constraint count (MSE) or left as a raw sum (SSE).
 
-One evaluator, loss_components, computes the residuals once and returns
-the family losses, the weighted total and its analytic gradient;
-total_energy and loss_gradient are views of it. It takes one (n, 64) state
+One gradient pass computes the residuals once and the analytic gradient of
+the weighted total from them; loss_components adds the family losses and
+the weighted total from the same residuals, total_energy is a view of it,
+and loss_gradient runs the gradient pass alone. It takes one (n, 64) state
 array or a batch (P, n, 64) of them, each batch row with its own weights.
 A batch row gives the same floats, bit for bit, as the single-state call
 on that row.
@@ -297,12 +298,13 @@ def _ordering_residuals(flat, cs):
     return np.maximum(0.0, psi, out=psi)
 
 
-def loss_components(states, cs, norm=MSE, weights=None):
-    """Family losses, weighted total and the gradient of that total, all
-    from one pass over the residuals.
+def _gradient(s, cs, norm, w):
+    """Gradient of the weighted total at a (P, n, 64) batch under (P, 3)
+    weights, with the residuals it is built from.
 
-    weights=None means unit weights. For a batch the loss fields are (P,)
-    arrays, weights may be (P, 3) rows, and grad is (P, n, 64).
+    Returns grad (P, n, 64) and (resid, phi, psi): the anchor residuals
+    (P, A * 64), the separation depths (P, S) and the ordering violations
+    (P, O), which the family losses square and sum.
 
     Hinge terms contribute zero exactly at their kink (subgradient choice);
     the separation direction is zeroed when the pair distance is below 1e-12.
@@ -311,43 +313,53 @@ def loss_components(states, cs, norm=MSE, weights=None):
     so each cell sums its terms in the same order whatever the batch size.
     An inactive ordering adds two exact zeros, which change no sum.
     """
-    s, single = _batch(states, cs)
-    p_count = s.shape[0]
-    flat = s.reshape(p_count, -1)
-    w = weight_rows(np.ones(3) if weights is None else weights, p_count)
+    flat = s.reshape(s.shape[0], -1)
     d_data, d_phys, d_logic = cs.divisors(norm)
-    anchor_cells, ordering_cells = cs._cells(p_count)
+    anchor_cells, ordering_cells = cs._cells(s.shape[0])
 
     resid = flat.take(cs._anchor_cells, axis=1)
     resid -= cs.anchor_refs.ravel()
-    l_data = row_sums(resid * resid) / d_data
     coef = 2.0 * w[:, 0] / d_data
     cells = [anchor_cells]
     terms = [(coef[:, None] * resid).ravel()]
 
     phi, diff, dist = _separation_residuals(flat, cs)
-    l_phys = row_sums(phi * phi) / d_phys
     # d(phi^2)/d pos(a) = -2 phi * (pos(a)-pos(b))/dist, active when phi > 0;
-    # the active pairs in row-major order, by their flat index k
-    k = np.flatnonzero((phi > 0.0) & (dist > _DIST_FLOOR))
-    if k.size:
-        rows, pairs = np.divmod(k, cs.n_separations)
-        coef = ((-2.0 * w[rows, 1] / d_phys) * phi.ravel()[k]
-                / dist.ravel()[k])
-        g = coef[:, None] * diff.reshape(-1, POSITION_DIM)[k]
+    # the active pairs in row-major order
+    rows, pairs = ((phi > 0.0) & (dist > _DIST_FLOOR)).nonzero()
+    if rows.size:
+        coef = ((-2.0 * w[rows, 1] / d_phys) * phi[rows, pairs]
+                / dist[rows, pairs])
+        g = coef[:, None] * diff[rows, pairs]
         # every a end, then every b end
         ends = cs._separation_cells[:, pairs] + (rows * flat.shape[1])[:, None]
         cells.append(ends.ravel())
         terms.append(np.concatenate((g, -g)).ravel())
 
     psi = _ordering_residuals(flat, cs)
-    l_logic = row_sums(psi * psi) / d_logic
     coef = (2.0 * w[:, 2:] / d_logic) * psi
     cells.append(ordering_cells)
     terms.append(np.concatenate((coef, -coef), axis=1).ravel())
 
     grad = np.bincount(np.concatenate(cells), np.concatenate(terms),
                        minlength=flat.size).reshape(s.shape)
+    return grad, (resid, phi, psi)
+
+
+def loss_components(states, cs, norm=MSE, weights=None):
+    """Family losses, weighted total and the gradient of that total; the
+    losses are taken from the residuals the gradient pass built.
+
+    weights=None means unit weights. For a batch the loss fields are (P,)
+    arrays, weights may be (P, 3) rows, and grad is (P, n, 64).
+    """
+    s, single = _batch(states, cs)
+    w = weight_rows(np.ones(3) if weights is None else weights, s.shape[0])
+    grad, (resid, phi, psi) = _gradient(s, cs, norm, w)
+    d_data, d_phys, d_logic = cs.divisors(norm)
+    l_data = row_sums(resid * resid) / d_data
+    l_phys = row_sums(phi * phi) / d_phys
+    l_logic = row_sums(psi * psi) / d_logic
     total = weighted_total(w, l_data, l_phys, l_logic)
     if single:
         return LossBreakdown(float(l_data[0]), float(l_phys[0]),
@@ -361,8 +373,11 @@ def total_energy(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
 
 
 def loss_gradient(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
-    """Analytic gradient of total_energy, shaped like states."""
-    return loss_components(states, cs, norm, weights).grad
+    """Analytic gradient of total_energy, shaped like states; the gradient
+    pass of loss_components alone, with no family loss computed."""
+    s, single = _batch(states, cs)
+    grad = _gradient(s, cs, norm, weight_rows(weights, s.shape[0]))[0]
+    return grad[0] if single else grad
 
 
 @dataclass

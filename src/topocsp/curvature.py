@@ -51,7 +51,7 @@ def _scales(kappa, deg):
     acc = np.add.reduce(kappa, axis=-1)
     mean = np.divide(acc, deg, out=np.zeros(acc.shape), where=deg > 0)
     scale = np.exp(-GAMMA * mean)
-    return np.clip(scale, ETA_MIN, ETA_MAX, out=scale), mean
+    return scale.clip(ETA_MIN, ETA_MAX, out=scale), mean
 
 
 def all_edge_curvatures(graph):

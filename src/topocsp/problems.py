@@ -63,7 +63,8 @@ class ProblemInstance:
                 ("states", _number_rows(d.get("states"), STATE_DIM),
                  f"an array of {STATE_DIM}-number arrays"),
                 ("anchors", isinstance(anchors, dict)
-                 and all(str(k).isdecimal() for k in anchors)
+                 and all(str(k).isascii() and str(k).isdecimal()
+                         for k in anchors)
                  and _number_rows(list(anchors.values()), STATE_DIM),
                  f"an object from node ids to {STATE_DIM}-number arrays"),
                 *((key, _number_rows(d.get(key, [])), "an array of number "

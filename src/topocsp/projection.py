@@ -33,12 +33,13 @@ same row run alone.
 
 The loss is evaluated once after each sweep, at the new states. That one
 evaluation gives the sweep's trace losses and the next sweep's gradient,
-which is carried into sweep_once. The start states are evaluated too,
-unless the caller hands in their gradient: each trace's final_grad is the
-gradient at its final states, which a next call from those states under
-the same weights can start from. A call of k sweeps thus evaluates the
-loss k + 1 times, or k times with a carried start gradient, plus k more
-for the line search's secant.
+which is carried into sweep_once. The start states' gradient, and the
+secant's at its far point, are evaluated alone, with no family loss. The
+start is skipped when the caller hands in its gradient: each trace's
+final_grad is the gradient at its final states, which a next call from
+those states under the same weights can start from. A call of k sweeps
+thus evaluates the loss k + 1 times, or k times with a carried start
+gradient, plus k more for the line search's secant.
 """
 from __future__ import annotations
 
@@ -55,7 +56,7 @@ from .errors import DivergenceError
 from .graphs import STATE_DIM, build_graph
 
 ROW_FIELDS = ("l_total", "l_data", "l_phys", "l_logic", "grad_max",
-              "grad_mean", "step_mean")
+              "grad_mean")
 
 
 @dataclass
@@ -102,7 +103,6 @@ class ProjectionTrace:
     l_logic: np.ndarray = field(default_factory=lambda: np.empty(0))
     grad_max: np.ndarray = field(default_factory=lambda: np.empty(0))
     grad_mean: np.ndarray = field(default_factory=lambda: np.empty(0))
-    step_mean: np.ndarray = field(default_factory=lambda: np.empty(0))
     start_states: np.ndarray = field(
         default_factory=lambda: np.empty((0, 0, STATE_DIM)))
     sweeps_evaluated: int = 0
@@ -132,10 +132,10 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
     Exposed separately so update maps can be probed at a frozen state. grad
     is the loss gradient at `states` under `weights`, computed here when
     omitted; the gradient norms in stats are its norms. On one (n, 64)
-    array, stats holds floats grad_max, grad_mean and step_mean, and a
-    non-finite line-search step raises DivergenceError. On a batch
-    (P, n, 64), with weights (P, 3) or one LossWeights and beta (P,) or one
-    number, stats holds (P,) arrays of those three plus the masks `moved`
+    array, stats holds floats grad_max and grad_mean, and a non-finite
+    line-search step raises DivergenceError. On a batch (P, n, 64), with
+    weights (P, 3) or one LossWeights and beta (P,) or one number, stats
+    holds (P,) arrays of those two plus the masks `moved`
     (some node stepped) and `diverged` (the line-search step was non-finite
     at a moving node; the row comes back unchanged). With the rank-one step
     on, a beta outside [0, 2] raises ValueError.
@@ -174,15 +174,14 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
             active &= ~diverged[:, None]
             moved = moved & ~diverged
         out = s - step
-        np.clip(out, *cfg.state_clip, out=out)
+        out.clip(*cfg.state_clip, out=out)
         out = np.where(active[..., None], out, s)
     else:
         out = s.copy()
 
     n = s.shape[1]
     stats = {"grad_max": np.maximum.reduce(norms, axis=1),
-             "grad_mean": np.add.reduce(norms, axis=1) / n,
-             "step_mean": np.add.reduce(C.row_norms(out - s), axis=1) / n}
+             "grad_mean": np.add.reduce(norms, axis=1) / n}
     if single:
         if diverged[0]:
             raise DivergenceError(_STEP_FAILED)
@@ -238,7 +237,7 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     final_grad = [None] * p_count
     cur = s
     if grad is None:
-        grad = C.loss_components(cur, cs, cfg.norm, w).grad
+        grad = C.loss_gradient(cur, cs, w, cfg.norm)
     grad = np.reshape(grad, s.shape)
     for t in range(t_max):
         starts[t, sel] = cur
@@ -247,7 +246,7 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
         bd = C.loss_components(new, cs, cfg.norm, w[sel])
         grad = bd.grad
         table[:, t, sel] = (bd.l_total, bd.l_data, bd.l_phys, bd.l_logic,
-                            st["grad_max"], st["grad_mean"], st["step_mean"])
+                            st["grad_max"], st["grad_mean"])
         total = bd.l_total
         stay = st["moved"] & (total >= cfg.tau) & (total < np.inf)
         if stay.all():

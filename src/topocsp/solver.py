@@ -2,19 +2,19 @@
 
 Every variant runs one generation loop. Each generation runs the inner
 projection loop on one batch holding a copy of the current states per
-candidate (loss weights, gating scalar), re-weights each candidate's
-trace energies under the fixed reference weights, scores each end state by
-the last of them, and adopts the best candidate's states and trace; the
-adopted traces, joined in order, are the solve's trace, and each row keeps
-the pair its sweep ran under. With the evolution strategy enabled, the
-candidates are a small population sampled from it, its mean starting at
-the reference pair (the reference weights with DEFAULT_BETA), the ranking
-is fed back to it, and the reference-weighted gradient norms of the trace
-are computed for the adopted candidate only. Without it, the one candidate
-is the reference pair, every generation; the gradient of the start check,
-then each call's final_grad, is carried into the next call, so that no
-state is evaluated twice and a run of k sweeps evaluates the loss k + 1
-times (plus the line search's). Reported energies always use the reference
+candidate (loss weights, gating scalar), scores each candidate by its
+trace's last family losses re-weighted under the fixed reference weights,
+and adopts the best candidate's states and trace, its energies re-weighted
+the same way; the adopted traces, joined in order, are the solve's trace,
+and each row keeps the pair its sweep ran under. With the evolution
+strategy enabled, the candidates are a small population sampled from it,
+its mean starting at the reference pair (the reference weights with
+DEFAULT_BETA), the ranking is fed back to it, and the reference-weighted
+gradient norms of the trace are computed for the adopted candidate only.
+Without it, the one candidate is the reference pair, every generation;
+the gradient of the start check, then each call's final_grad, is carried
+into the next call, so that no state is evaluated twice and a run of k
+sweeps evaluates the loss k + 1 times (plus the line search's). Reported energies always use the reference
 weights under the variant's own normalization.
 
 A run stops at the sweep budget, which its last call is cut to fit, or
@@ -220,16 +220,18 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
             np.array([beta for _, beta in params]), call,
             None if search else grad)
         sweeps_evaluated += sum(tr.sweeps_evaluated for tr in traces)
-        for tr in traces:  # reference-weighted, so that candidates compare
-            tr.l_total = C.weighted_total(ref_w, tr.l_data, tr.l_phys,
-                                          tr.l_logic)
-        # a diverged candidate scores +inf and ranks last
-        fits = np.array([np.inf if tr.failure is not None else tr.l_total[-1]
-                         for tr in traces])
+        # each candidate scores its last row's reference-weighted energy, so
+        # that candidates compare; a diverged one scores +inf and ranks last
+        fits = np.array([
+            np.inf if tr.failure is not None else C.weighted_total(
+                ref_w, tr.l_data[-1], tr.l_phys[-1], tr.l_logic[-1])
+            for tr in traces])
         if search:
             cma_tell(st, thetas, fits)
         best_i = int(np.argmin(fits))
         trace = traces[best_i]
+        trace.l_total = C.weighted_total(ref_w, trace.l_data, trace.l_phys,
+                                         trace.l_logic)
         lambdas, beta = params[best_i]
         # one row's gradient, so that no batch outlives its call
         grad, trace.final_grad = trace.final_grad, None
@@ -255,7 +257,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
             failure = trace.failure
             break
         states = outs[best_i].copy()
-        del outs, traces, trace, tr  # free the batch before the next one
+        del outs, traces, trace  # free the batch before the next one
         e_new = float(fits[best_i])
         if e_new > e_curr + _EVENT_EPS:
             events += 1

@@ -52,13 +52,16 @@ class StudySpec:
     study: str
     sizes: tuple = (6,)
     n_seeds: int = 20
-    variants: tuple = SEED_STUDY_VARIANTS
+    variants: tuple | None = None  # None: the study's default
     out_dir: str = "."
     budget: int = DEFAULT_BUDGET
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
         self.sizes = tuple(int(n) for n in self.sizes)
+        if self.variants is None:
+            self.variants = (("baseline",) if self.study == "scaling"
+                             else SEED_STUDY_VARIANTS)
         self.variants = tuple(self.variants)
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; "
@@ -77,9 +80,9 @@ class StudySpec:
             raise ValueError(f"a {self.study} study needs a variant")
         if self.study != "scaling" and len(self.sizes) > 1:
             raise ValueError(f"a {self.study} study runs one size")
-        if self.study == "scaling":
-            # run_scaling_study runs only the first listed variant
-            self.variants = self.variants[:1]
+        if self.study == "scaling" and len(self.variants) > 1:
+            raise ValueError(f"a scaling study runs one variant, got "
+                             f"{list(self.variants)}")
 
     def to_json_dict(self):
         d = asdict(self)

@@ -221,15 +221,37 @@ def test_bench_ablation(tmp_path, capsys):
     assert StudySpec.from_json_dict(spec).study == "ablation"
 
 
+def size_option(study):
+    """The size option a study reads, with a small value."""
+    return ["--sizes", "2,3"] if study == "scaling" else ["--n", "3"]
+
+
 @pytest.mark.parametrize("study,budget", [("seeds", "0"), ("scaling", "-5"),
                                           ("ablation", "0")])
 def test_bench_rejects_budget_below_one(tmp_path, capsys, study, budget):
     out = tmp_path / "out"
-    code, _, err = run_main(["bench", study, "--out", str(out), "--n", "3",
-                             "--sizes", "2,3", "--seeds", "2",
+    code, _, err = run_main(["bench", study, "--out", str(out),
+                             *size_option(study), "--seeds", "2",
                              "--budget", budget], capsys)
     assert code == 1
     assert "budget must be >= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("study,option", [
+    ("seeds", ["--sizes", "2,4"]), ("ablation", ["--sizes", "2,4"]),
+    ("scaling", ["--n", "10"]),
+    ("scaling", ["--n", "10", "--sizes", "2,3"])])
+def test_bench_rejects_a_size_option_the_study_does_not_read(
+        tmp_path, capsys, study, option):
+    # the seeds and ablation studies run one size, --n; scaling runs --sizes
+    out = tmp_path / "out"
+    code, stdout, err = run_main(["bench", study, "--out", str(out), *option,
+                                  "--seeds", "1", "--budget", "5"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("topocsp: error:") and err.count("\n") == 1
+    assert f"{option[0]} does not apply to the {study} study" in err
     assert not out.exists()
 
 
@@ -309,6 +331,9 @@ def _malformed(d, shape):
     elif shape in ("fractional anchor key", "word anchor key"):
         d["anchors"]["0.5" if "fractional" in shape else "x"] = (
             d["anchors"].pop("0"))
+    elif shape == "non-ASCII digit anchor key":
+        # ARABIC-INDIC DIGIT ONE: a Unicode decimal that float() reads as 1
+        d["anchors"] = {"\u0661": d["anchors"]["1"]}
     elif shape == "null anchor vector":
         d["anchors"]["0"] = None
     elif shape == "short anchor vector":
@@ -330,8 +355,8 @@ _NAMED = {"string n": "n must be", "boolean n": "n must be",
           "string separation row": "separations must be",
           "missing n": "n must be", "missing states": "states must be",
           **dict.fromkeys(("fractional anchor key", "word anchor key",
-                           "null anchor vector", "short anchor vector"),
-                          "anchors must be")}
+                           "non-ASCII digit anchor key", "null anchor vector",
+                           "short anchor vector"), "anchors must be")}
 
 
 @pytest.mark.parametrize("shape", [

@@ -330,7 +330,7 @@ def test_batch_rows_match_running_alone():
                                    beta[p], cfg)
         assert out[p].tobytes() == alone.tobytes()
         for f in ("l_total", "l_data", "l_phys", "l_logic", "grad_max",
-                  "grad_mean", "step_mean", "start_states"):
+                  "grad_mean", "start_states"):
             assert getattr(traces[p], f).tobytes() == getattr(tr, f).tobytes()
         for f in ("iterations_run", "sweeps_evaluated", "failure"):
             assert getattr(traces[p], f) == getattr(tr, f)
@@ -349,7 +349,6 @@ def test_batch_rows_match_running_alone():
     # the fixed point is swept once, and its one row is that no-op sweep
     assert fixed.iterations_run == fixed.sweeps_evaluated == 1
     assert fixed.failure is None and fixed.l_total[-1] >= cfg.tau
-    assert fixed.step_mean[-1] == 0.0
     assert np.array_equal(fixed.start_states[-1], out[2])
     assert np.array_equal(out[2], states[2])
     assert early.failure is None and early.l_total[-1] < cfg.tau
@@ -390,14 +389,14 @@ def test_carried_start_gradient_changes_nothing(rows):
                                    LossWeights(*w[p])).grad
         assert tr.final_grad.tobytes() == at_end.tobytes()
         assert tr.final_grad.base is None
-    kinds = {rows[p]: tr for p, tr in enumerate(traces)}
-    if 0 in kinds:
-        assert kinds[0].l_total[-1] < cfg.tau
-    if 2 in kinds:
-        # a fixed point ends its trace with the sweep that moved nothing
-        fixed = kinds[2]
-        assert fixed.iterations_run == fixed.sweeps_evaluated < cfg.t_max
-        assert fixed.step_mean[-1] == 0.0
+    for p, row in enumerate(rows):
+        if row == 0:
+            assert traces[p].l_total[-1] < cfg.tau
+        if row == 2:
+            # a fixed point ends its trace with the sweep that moved nothing
+            fixed = traces[p]
+            assert fixed.iterations_run == fixed.sweeps_evaluated < cfg.t_max
+            assert out[p].tobytes() == fixed.start_states[-1].tobytes()
 
 
 def test_batch_takes_one_weighting_for_all():
@@ -437,13 +436,16 @@ def test_one_evaluation_per_swept_state(monkeypatch):
     states, cs, weights, beta = batch_problem()
     rows = [1, 2, 3]  # runs every sweep; a fixed point; converges early
     calls = []
-    real = C.loss_components
 
-    def counted(states, *args, **kwargs):
-        calls.append(len(states))
-        return real(states, *args, **kwargs)
+    def counting(real):
+        def counted(states, *args, **kwargs):
+            calls.append(len(states))
+            return real(states, *args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(C, "loss_components", counted)
+    # the start and the secant evaluate the gradient alone
+    for name in ("loss_components", "loss_gradient"):
+        monkeypatch.setattr(C, name, counting(getattr(C, name)))
     for use_delta, per_sweep in ((True, 2), (False, 1)):
         cfg = ProjectionConfig(use_delta=use_delta)
         calls.clear()

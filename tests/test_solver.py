@@ -9,7 +9,7 @@ from topocsp import solver
 from topocsp.cmaes import (STALL_GENERATIONS, STALL_REL, ParamEncoding,
                             cma_init)
 from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, ConstraintSet,
-                                 LossWeights, total_energy)
+                                 LossWeights, total_energy, weighted_total)
 from topocsp.errors import DivergenceError
 from topocsp.problems import (ProblemInstance, generate_instance,
                               physics_aware_init)
@@ -219,12 +219,15 @@ def test_adopted_params_hold_one_pair_per_row(monkeypatch, name, record):
                 seed=8, record_states=record)
     assert len(res.adopted_params) == res.steps
     # each call's adopted candidate scores lowest under the reference
-    # weights, which solve wrote into its traces' l_total
+    # weights, and the solve's trace holds its rows re-weighted by them
+    ref = DEFAULT_WEIGHTS.as_array()
     want, rows = [], []
     for weights, beta, traces in calls:
-        i = int(np.argmin([tr.l_total[-1] for tr in traces]))
+        totals = [weighted_total(ref, tr.l_data, tr.l_phys, tr.l_logic)
+                  for tr in traces]
+        i = int(np.argmin([tot[-1] for tot in totals]))
         want += [(weights[i], beta[i])] * traces[i].iterations_run
-        rows.append(traces[i].l_total)
+        rows.append(totals[i])
     assert np.array_equal(np.concatenate(rows), res.trace.l_total)
     assert len(want) == res.steps
     for (lam, b), (lam_w, b_w) in zip(res.adopted_params, want):
@@ -371,13 +374,16 @@ def test_search_stops_when_it_stalls():
 
 
 def count_evaluations(monkeypatch):
+    """Count the loss evaluations, whole or of the gradient alone."""
     calls = []
-    real = C.loss_components
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(C, "loss_components", counted)
+    def counting(real):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+        return counted
+    for name in ("loss_components", "loss_gradient"):
+        monkeypatch.setattr(C, name, counting(getattr(C, name)))
     return calls
 
 
@@ -444,8 +450,8 @@ def test_search_steps_count_only_swept_rows(monkeypatch):
     swept = [tr.sweeps_evaluated for tr in adopted]
     assert min(swept) < 10
     assert res.steps == res.trace.iterations_run == sum(swept)
-    assert np.array_equal(res.trace.step_mean,
-                          np.concatenate([tr.step_mean for tr in adopted]))
+    assert np.array_equal(res.trace.l_data,
+                          np.concatenate([tr.l_data for tr in adopted]))
 
 
 def test_stopped_by_names_the_stop():
@@ -510,8 +516,8 @@ def test_fixed_run_divergence_keeps_its_partial_rows(monkeypatch):
     assert res.failure == "energy became non-finite"
     # the adopted call's rows, then the rows swept before the failure
     assert res.steps == res.trace.iterations_run == 10 + KEPT
-    assert np.array_equal(res.trace.step_mean,
-                          np.concatenate([first.step_mean, failed.step_mean]))
+    assert np.array_equal(res.trace.l_data,
+                          np.concatenate([first.l_data, failed.l_data]))
     assert res.adopted_energies == [float(first.l_total[-1])]
     assert res.final_energy == res.adopted_energies[0]
     assert np.isfinite(res.final_states).all()
@@ -544,6 +550,6 @@ def test_search_divergence_keeps_only_adopted_rows(monkeypatch):
     assert res.generations == 2
     # no row of the failed generation is kept
     assert res.steps == res.trace.iterations_run == adopted.iterations_run
-    assert np.array_equal(res.trace.step_mean, adopted.step_mean)
+    assert np.array_equal(res.trace.l_data, adopted.l_data)
     assert len(res.adopted_energies) == 1
     assert np.isfinite(res.final_states).all()

@@ -127,14 +127,26 @@ def test_scaling_study_rows(tmp_path):
 
 def test_scaling_spec_records_the_variant_that_ran(tmp_path):
     spec = StudySpec(study="scaling", sizes=(2,), out_dir=str(tmp_path),
-                     variants=("v1", "v2"), **FAST)
+                     variants=("v1",), **FAST)
     report = run_scaling_study(spec)
     written = json.loads((tmp_path / "spec.json").read_text())
     assert written["variants"] == ["v1"]
     assert report.summary["variant"] == "v1"
     assert StudySpec.load(tmp_path / "spec.json") == spec
-    # a spec built without variants runs the first default, baseline
+    # a spec built without variants runs baseline
     assert StudySpec(study="scaling").variants == ("baseline",)
+
+
+def test_scaling_spec_rejects_a_second_variant(tmp_path):
+    # a scaling study runs one variant, so a second one is an error, not
+    # dropped; so is a spec.json that lists two
+    with pytest.raises(ValueError, match="runs one variant"):
+        StudySpec(study="scaling", variants=("v2", "baseline"))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"study": "scaling", "sizes": [2],
+                                "variants": ["v1", "v2"]}))
+    with pytest.raises(ValueError, match="runs one variant"):
+        StudySpec.load(path)
 
 
 def test_fit_time_exponent_recovers_powers():

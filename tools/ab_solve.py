@@ -10,18 +10,21 @@ every job of the workload's panel with both versions back to back, the
 version that goes first alternating from job to job and round to round. A
 round's solve seeds are the ones perfbench/run.py draws for that round:
 derive_seed(seed, round, variant, n, index). Each pair must end in bitwise
-equal final states; the script exits 1 at the first pair that does not.
+equal final states, adopted energies and trace columns (every array field of
+SolveResult.trace that both checkouts' traces have); the script exits 1 at
+the first pair that does not, naming what differs.
 
 Both versions solve the same panel, built once, in every round, as
 perfbench does. Writes BENCH_<workload>.json (or --out): per variant the
 median over its pairs of the change/base time ratio and the summed times,
-the summed ratio over all pairs, nproc, the platform, and each checkout's
-git commit, whether its tree had uncommitted changes, and the sha256 of
-its package source.
+the summed ratio over all pairs, the names compared bitwise, nproc, the
+platform, and each checkout's git commit, whether its tree had uncommitted
+changes, and the sha256 of its package source.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -88,6 +91,26 @@ def describe(checkout):
             "src_sha256": h.hexdigest()}
 
 
+def columns(res):
+    """A solve's final states, adopted energies and trace array fields."""
+    t = res.trace
+    cols = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)
+            if isinstance(getattr(t, f.name), np.ndarray)}
+    cols["final_states"] = res.final_states
+    cols["adopted_energies"] = np.asarray(res.adopted_energies, dtype=float)
+    return cols
+
+
+def differing(a, b):
+    """The names both column sets hold whose arrays differ in shape or
+    bits, and the names compared."""
+    names = sorted(a.keys() & b.keys())
+    return [k for k in names
+            if a[k].shape != b[k].shape
+            or np.ascontiguousarray(a[k]).tobytes()
+            != np.ascontiguousarray(b[k]).tobytes()], names
+
+
 def run(base, change, workload, rounds, seed):
     W = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     sides = {"base": load_topocsp(base, "topocsp_base"),
@@ -96,6 +119,7 @@ def run(base, change, workload, rounds, seed):
               for k, (_, problems) in sides.items()}
     w = W.WORKLOADS[workload]
     pairs = []
+    compared = None
     for rnd in range(rounds):
         k = 0
         for i in range(w.panel):
@@ -104,21 +128,23 @@ def run(base, change, workload, rounds, seed):
                 order = ("base", "change") if (k + rnd) % 2 == 0 \
                     else ("change", "base")
                 k += 1
-                times, finals = {}, {}
+                times, cols = {}, {}
                 for side in order:
                     solver = sides[side][0]
                     vc = solver.variant(v)
                     t0 = time.perf_counter()
                     res = solver.solve(panels[side][i], vc, seed=job_seed)
                     times[side] = time.perf_counter() - t0
-                    finals[side] = res.final_states
-                if not np.array_equal(finals["base"], finals["change"]):
+                    cols[side] = columns(res)
+                    del res
+                bad, compared = differing(cols["base"], cols["change"])
+                if bad:
                     sys.exit(f"ab_solve: round {rnd}, instance {i} {v}: "
-                             f"final states differ")
+                             f"{', '.join(bad)} differ")
                 pairs.append({"round": rnd, "instance": i, "variant": v,
                               "seed": job_seed, **times,
                               "ratio": times["change"] / times["base"]})
-    return pairs
+    return pairs, compared
 
 
 def summarize(pairs):
@@ -144,7 +170,8 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", help="JSON file (default BENCH_<workload>.json)")
     args = p.parse_args(argv)
-    pairs = run(args.base, args.change, args.workload, args.rounds, args.seed)
+    pairs, compared = run(args.base, args.change, args.workload, args.rounds,
+                          args.seed)
     variants = summarize(pairs)
     base = sum(p["base"] for p in pairs)
     change = sum(p["change"] for p in pairs)
@@ -155,6 +182,7 @@ def main(argv=None):
         "python": platform.python_version(), "numpy": np.__version__,
         "base": describe(args.base),
         "change": describe(args.change), "final_states_equal": True,
+        "bitwise_equal": compared,
         "summed_ratio": change / base, "variants": variants, "pairs": pairs,
     }
     out = Path(args.out or f"BENCH_{args.workload}.json")

@@ -8,9 +8,10 @@ sizes of tests/test_acceptance.py, 20 seeds each: seeds (baseline, v1 and
 v2 at n=6), scaling (v2 at 2..20), ablation (ten configurations at n=6) and
 stability (n=6). It records every solve with its counts, floats and the
 sha256 of its final states, trace and adopted energies, and each study's
-rows and summary; for the stability runs, which record their sweeps, also
-the sha256 of the recorded start states and (lambdas, beta) per sweep.
-It also records the fixed-weight solves of
+rows and summary; the trace digest covers TRACE_COLUMNS, those of them that
+the checkout's trace has. For the stability runs, which record their
+sweeps, it also records the sha256 of the recorded start states and
+(lambdas, beta) per sweep. It also records the fixed-weight solves of
 tests/test_solver.py::test_fixed_variants_unchanged_at_n20 and
 `loss_components` on 300 random (instance, batch size, norm) cases, as sha256
 digests of the family losses, total and gradient.
@@ -35,6 +36,10 @@ from pathlib import Path
 import numpy as np
 
 TIME_KEYS = {"wall_time", "mean_time", "time_exponent", "seconds"}
+# the trace columns hashed, those of them a checkout's trace has, so that
+# records of a checkout with fewer columns compare with one that has more
+TRACE_COLUMNS = ("l_total", "l_data", "l_phys", "l_logic", "grad_max",
+                 "grad_mean")
 LOSS_SIZES = (2, 3, 6, 12, 20, 40)
 LOSS_CASES = 300
 
@@ -57,8 +62,8 @@ def _solve_record(res):
         "diverged": res.diverged, "success": res.success,
         "violations": asdict(res.violations),
         "final_states": _sha(res.final_states),
-        "trace": _sha(t.l_total, t.l_data, t.l_phys, t.l_logic, t.grad_max,
-                      t.grad_mean, t.step_mean),
+        "trace": _sha(*(getattr(t, f) for f in TRACE_COLUMNS
+                        if hasattr(t, f))),
         "adopted_energies": _sha(res.adopted_energies),
         "wall_time": res.wall_time,
     }
