@@ -19,13 +19,11 @@ from .curvature import curvature_step_scales
 from .graphs import build_graph
 from .problems import generate_instance, ProblemInstance
 from .solver import DEFAULT_BUDGET, PRESETS, solve, variant
-from .studies import (DEFAULT_MASTER_SEED, DEFAULT_SIZES,
-                      SEED_STUDY_VARIANTS, STUDIES, StudySpec, TRACE_HEADER,
-                      _write_csv, trace_rows)
+from .studies import (DEFAULT_N, DEFAULT_SIZES, STUDIES, StudySpec,
+                      TRACE_HEADER, _write_csv, trace_rows)
 
 USAGE_EXIT = 1
 FAILED_RUNS_EXIT = 2
-BENCH_N = 6  # size of the seeds and ablation studies unless --n is given
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,8 +40,6 @@ def _parse_sizes(text):
         sizes = tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad size list {text!r}")
-    if not sizes:
-        raise argparse.ArgumentTypeError("size list is empty")
     return sizes
 
 
@@ -75,18 +71,21 @@ def build_parser():
     ps.add_argument("--dump-curvature", action="store_true",
                     help="include the final-state curvature report")
 
-    pb = sub.add_parser("bench", help="run a benchmark study")
+    # an option not given is left unset, so StudySpec fills in its default
+    pb = sub.add_parser("bench", help="run a benchmark study",
+                        argument_default=argparse.SUPPRESS)
     pb.add_argument("study", choices=tuple(STUDIES))
-    pb.add_argument("--out", required=True, help="output directory")
-    pb.add_argument("--seeds", type=int, default=20, dest="n_seeds")
+    pb.add_argument("--out", required=True, dest="out_dir", metavar="DIR",
+                    help="output directory")
+    pb.add_argument("--seeds", type=int, dest="n_seeds")
     pb.add_argument("--sizes", type=_parse_sizes,
                     help="comma-separated sizes of the scaling study "
                          f"(default {','.join(map(str, DEFAULT_SIZES))})")
     pb.add_argument("--n", type=int,
                     help=f"size for seeds/ablation studies (default "
-                         f"{BENCH_N})")
-    pb.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    pb.add_argument("--master-seed", type=int, default=DEFAULT_MASTER_SEED)
+                         f"{DEFAULT_N})")
+    pb.add_argument("--budget", type=int)
+    pb.add_argument("--master-seed", type=int)
     return parser
 
 
@@ -133,34 +132,24 @@ def _usage_error(message):
 
 
 def _cmd_bench(args):
+    given = {k: v for k, v in vars(args).items() if k != "command"}
     # a size option the study does not read is an error, not ignored
-    scaling = args.study == "scaling"
-    if (args.n if scaling else args.sizes) is not None:
+    unread = "n" if args.study == "scaling" else "sizes"
+    if unread in given:
         raise SystemExit(_usage_error(
-            f"{'--n' if scaling else '--sizes'} does not apply to the "
-            f"{args.study} study"))
-    if scaling:
-        sizes = args.sizes or DEFAULT_SIZES
-    else:
-        sizes = (BENCH_N if args.n is None else args.n,)
-    spec = StudySpec(
-        study=args.study, sizes=sizes,
-        variants=SEED_STUDY_VARIANTS if args.study == "seeds" else ("v2",),
-        n_seeds=args.n_seeds, out_dir=args.out, budget=args.budget,
-        master_seed=args.master_seed)
-    report = STUDIES[args.study](spec)
+            f"--{unread} does not apply to the {args.study} study"))
+    if "n" in given:
+        given["sizes"] = (given.pop("n"),)
+    spec = StudySpec(**given)
+    report = STUDIES[spec.study](spec)
     for path in report.out_files:
         print(path)
     return FAILED_RUNS_EXIT if report.n_failed else 0
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return int(e.code or 0)
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "solve":
             return _cmd_solve(args)
         return _cmd_bench(args)
@@ -168,10 +157,6 @@ def main(argv=None):
         return int(e.code or 0)
     except (OSError, ValueError, KeyError) as e:
         return _usage_error(str(e))
-
-
-def run():
-    sys.exit(main())
 
 
 if __name__ == "__main__":

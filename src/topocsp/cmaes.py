@@ -134,8 +134,8 @@ def cma_tell(state, candidates, fitnesses):
     m_old = state.mean
     m_new = np.sum(w[:, None] * sel, axis=0)
     z_sel = (sel - m_old) / state.sigma
+    # symmetric bit for bit: (j, k) and (k, j) sum the same products in order
     cov_new = (w[:, None, None] * (z_sel[:, :, None] * z_sel[:, None, :])).sum(axis=0)
-    cov_new = 0.5 * (cov_new + cov_new.T)
 
     _, inv_sqrt = _factor(state)
     cs, ds = state.c_sigma, state.d_sigma

@@ -103,8 +103,8 @@ class ConstraintSet:
         n_nodes, a node id or an axis is not a whole number or is out of
         range, or a row does not hold that many numbers.
         """
-        n = _whole(n_nodes, "n_nodes")
-        anchors = sorted(((_whole(k, "anchor id"), v)
+        n = whole(n_nodes, "n_nodes", ConstraintError)
+        anchors = sorted(((whole(k, "anchor id", ConstraintError), v)
                           for k, v in (anchors or {}).items()),
                          key=lambda kv: kv[0])
         ids = np.array([k for k, _ in anchors], dtype=float)
@@ -197,15 +197,17 @@ class ConstraintSet:
         raise ConstraintError(f"unknown normalization {norm!r}")
 
 
-def _whole(x, what):
-    """x as an int; raises ConstraintError unless x is a whole number. A
-    boolean is not one."""
+def whole(x, what, error=ValueError, least=None):
+    """x as an int; raises error (a ValueError type) unless x is a whole
+    number, a boolean not being one, and at least `least` when given."""
     try:
         v = float("nan") if isinstance(x, (bool, np.bool_)) else float(x)
     except (TypeError, ValueError):
         v = float("nan")
     if not v.is_integer():
-        raise ConstraintError(f"{what} must be a whole number, got {x!r}")
+        raise error(f"{what} must be a whole number, got {x!r}")
+    if least is not None and v < least:
+        raise error(f"{what} must be >= {least}")
     return int(v)
 
 

@@ -119,11 +119,15 @@ _STEP_FAILED = "rank-one step met an overflowed gradient"
 _ENERGY_FAILED = "energy became non-finite"
 
 
-def grad_stats(states, cs, weights, norm):
-    """Max and mean over nodes of the loss-gradient norms, per state array."""
-    norms = C.row_norms(C.loss_gradient(states, cs, weights, norm))
+def _norm_stats(norms):
+    """Max and mean over nodes, the last axis, of gradient norms."""
     return (np.maximum.reduce(norms, axis=-1),
             np.add.reduce(norms, axis=-1) / norms.shape[-1])
+
+
+def grad_stats(states, cs, weights, norm):
+    """Max and mean over nodes of the loss-gradient norms, per state array."""
+    return _norm_stats(C.row_norms(C.loss_gradient(states, cs, weights, norm)))
 
 
 def sweep_once(states, cs, weights, beta, cfg, grad=None):
@@ -146,7 +150,6 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
     single = s.ndim == 2
     if single:
         s = s[None]
-    p_count = s.shape[0]
     if grad is None:
         grad = C.loss_gradient(s, cs, weights, cfg.norm)
     grad = grad.reshape(s.shape)
@@ -154,41 +157,36 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
     # a NaN norm counts as active, so an overflowed gradient drops the row
     active = ~(norms < cfg.epsilon)
     moved = np.logical_or.reduce(active, axis=1)
-    diverged = np.zeros(p_count, dtype=bool)
+    diverged = np.zeros(len(s), dtype=bool)
 
-    if moved.any():
-        clipped = grad
-        if cfg.grad_clip is not None:
-            scale = np.minimum(1.0, cfg.grad_clip / np.maximum(norms, 1e-300))
-            clipped = grad * scale[..., None]
-        rate = cfg.alpha
-        if cfg.use_curvature:
-            eta, _ = node_step_scales(build_graph(s))
-            rate = cfg.alpha * eta[..., None]
-        step = rate * clipped
-        if cfg.use_delta:
-            t = _secant_length(s, grad, step, cs, weights, cfg.norm)
-            step = np.multiply(beta, t)[:, None, None] * step
-            diverged = (active & ~np.isfinite(step).all(axis=-1)).any(axis=1)
-            # a diverged row comes back unchanged
-            active &= ~diverged[:, None]
-            moved = moved & ~diverged
-        out = s - step
-        out.clip(*cfg.state_clip, out=out)
-        out = np.where(active[..., None], out, s)
-    else:
-        out = s.copy()
+    clipped = grad
+    if cfg.grad_clip is not None:
+        scale = np.minimum(1.0, cfg.grad_clip / np.maximum(norms, 1e-300))
+        clipped = grad * scale[..., None]
+    rate = cfg.alpha
+    if cfg.use_curvature:
+        eta, _ = node_step_scales(build_graph(s))
+        rate = cfg.alpha * eta[..., None]
+    step = rate * clipped
+    if cfg.use_delta:
+        t = _secant_length(s, grad, step, cs, weights, cfg.norm)
+        step = np.multiply(beta, t)[:, None, None] * step
+        diverged = (active & ~np.isfinite(step).all(axis=-1)).any(axis=1)
+        # a diverged row comes back unchanged
+        active &= ~diverged[:, None]
+        moved = moved & ~diverged
+    out = s - step
+    out.clip(*cfg.state_clip, out=out)
+    # an inactive node keeps its bits, so a row that moved nothing is a copy
+    out = np.where(active[..., None], out, s)
 
-    n = s.shape[1]
-    stats = {"grad_max": np.maximum.reduce(norms, axis=1),
-             "grad_mean": np.add.reduce(norms, axis=1) / n}
+    g_max, g_mean = _norm_stats(norms)
+    stats = {"grad_max": g_max, "grad_mean": g_mean}
     if single:
         if diverged[0]:
             raise DivergenceError(_STEP_FAILED)
         return out[0], {k: float(v[0]) for k, v in stats.items()}
-    stats["moved"] = moved
-    stats["diverged"] = diverged
-    return out, stats
+    return out, {**stats, "moved": moved, "diverged": diverged}
 
 
 def _secant_length(s, grad, step, cs, weights, norm):
@@ -249,28 +247,26 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
                             st["grad_max"], st["grad_mean"])
         total = bd.l_total
         stay = st["moved"] & (total >= cfg.tau) & (total < np.inf)
-        if stay.all():
+        if t + 1 < t_max and stay.all():
             cur = new
             continue
+        stay &= t + 1 < t_max  # the call's last sweep ends every row
         leave = ~stay
         gone = live[leave]
         s[gone] = new[leave]
+        dropped = st["diverged"] | ~np.isfinite(total)
         done[gone] = t + 1 - st["diverged"][leave]
-        ok = np.isfinite(total) & ~st["diverged"]
-        for i in np.flatnonzero(leave & ~ok):
-            failure[live[i]] = (_STEP_FAILED if st["diverged"][i]
-                                else _ENERGY_FAILED)
-        for i in np.flatnonzero(leave & ok):
-            final_grad[live[i]] = grad[i].copy()
+        for i in np.flatnonzero(leave):
+            if dropped[i]:
+                failure[live[i]] = (_STEP_FAILED if st["diverged"][i]
+                                    else _ENERGY_FAILED)
+                s[live[i]] = np.nan
+            else:
+                final_grad[live[i]] = grad[i].copy()
+        if not stay.any():
+            break
         live, cur, grad = live[stay], new[stay], grad[stay]
         sel = live
-        if not live.size:
-            break
-    s[live] = cur
-    done[live] = t_max
-    for i, p in enumerate(live):
-        final_grad[p] = grad[i].copy()
-    s[list(failure)] = np.nan
 
     traces = []
     for p in range(p_count):

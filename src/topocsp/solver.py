@@ -162,10 +162,10 @@ def _projection_config(vc):
 def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     """Run one variant on one instance; never raises for a diverging run.
 
-    Raises ValueError when the start energy is not finite.
+    Raises ValueError when the budget is not a whole number of at least 1
+    or the start energy is not finite.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    budget = C.whole(budget, "budget", least=1)
     t0 = time.perf_counter()
     cs = inst.constraints
     ref = C.DEFAULT_WEIGHTS

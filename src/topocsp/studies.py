@@ -21,12 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
+from .constraints import whole
 from .problems import generate_instance
 from .solver import (DEFAULT_BUDGET, VARIANT_FLAGS, SolveResult,
                      VariantConfig, solve, update_map_spectrum, variant)
 
 SEED_STUDY_VARIANTS = ("baseline", "v1", "v2")
 DEFAULT_SIZES = (2, 4, 6, 8, 10, 12, 15, 20)
+DEFAULT_N = 6
+DEFAULT_N_SEEDS = 20
 DEFAULT_MASTER_SEED = 42
 
 SEEDS_HEADER = ("variant", "seed", "e_final", "steps", "success", "wall_time")
@@ -47,40 +50,48 @@ def derive_seed(master_seed, variant_name, n, index):
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") >> 1
 
 
+def _run_settings(sizes, n_seeds, budget):
+    """(sizes, n_seeds, budget) as ints, or ValueError for a bad value."""
+    n_seeds = whole(n_seeds, "n_seeds", least=1)
+    budget = whole(budget, "budget", least=1)
+    sizes = tuple(whole(n, "size", least=2) for n in sizes)
+    if not sizes:
+        raise ValueError("sizes must be non-empty")
+    return sizes, n_seeds, budget
+
+
 @dataclass
 class StudySpec:
     study: str
-    sizes: tuple = (6,)
-    n_seeds: int = 20
+    sizes: tuple | None = None  # None: the study's default
+    n_seeds: int = DEFAULT_N_SEEDS
     variants: tuple | None = None  # None: the study's default
     out_dir: str = "."
     budget: int = DEFAULT_BUDGET
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
-        self.sizes = tuple(int(n) for n in self.sizes)
-        if self.variants is None:
-            self.variants = (("baseline",) if self.study == "scaling"
-                             else SEED_STUDY_VARIANTS)
-        self.variants = tuple(self.variants)
         if self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; "
                              f"choose from {sorted(STUDIES)}")
-        if self.n_seeds < 1:
-            raise ValueError("n_seeds must be >= 1")
-        if self.budget < 1:
-            raise ValueError("budget must be >= 1")
-        if not self.sizes:
-            raise ValueError("sizes must be non-empty")
-        if any(n < 2 for n in self.sizes):
-            raise ValueError("all sizes must be >= 2")
+        scaling = self.study == "scaling"
+        if self.sizes is None:
+            self.sizes = DEFAULT_SIZES if scaling else (DEFAULT_N,)
+        self.sizes, self.n_seeds, self.budget = _run_settings(
+            self.sizes, self.n_seeds, self.budget)
+        if self.variants is None:
+            self.variants = {"seeds": SEED_STUDY_VARIANTS,
+                             "scaling": ("v2",)}.get(self.study, ())
+        self.variants = tuple(self.variants)
+        if self.study == "ablation" and self.variants:
+            raise ValueError("an ablation study takes no variants")
         for name in self.variants:
             variant(name)  # raises ValueError for an unknown name
         if self.study != "ablation" and not self.variants:
             raise ValueError(f"a {self.study} study needs a variant")
-        if self.study != "scaling" and len(self.sizes) > 1:
+        if not scaling and len(self.sizes) > 1:
             raise ValueError(f"a {self.study} study runs one size")
-        if self.study == "scaling" and len(self.variants) > 1:
+        if scaling and len(self.variants) > 1:
             raise ValueError(f"a scaling study runs one variant, got "
                              f"{list(self.variants)}")
 
@@ -89,7 +100,6 @@ class StudySpec:
         d["sizes"] = list(self.sizes)
         d["variants"] = list(self.variants)
         if self.study == "ablation":
-            # run_ablation runs its own ten configurations
             del d["variants"]
         return d
 
@@ -156,6 +166,13 @@ def _write(spec, name, header, rows, summary, failures):
                                   str(out / "spec.json")])
 
 
+def _failed_run(vc, n, seed, error):
+    """A failed run's record; error is its exception or its reason."""
+    reason = (error if isinstance(error, str)
+              else f"{type(error).__name__}: {error}")
+    return {"variant": vc.name, "n": n, "seed": seed, "error": reason}
+
+
 def _runs(spec, vc, n, failures):
     """The spec's isolated runs of vc at size n, as (run seed, SolveResult
     or None when the run raised). Appends each raised or diverged run to
@@ -168,10 +185,9 @@ def _runs(spec, vc, n, failures):
                         budget=spec.budget, seed=run_seed)
             error = f"diverged: {res.failure}" if res.diverged else None
         except Exception as err:
-            res, error = None, f"{type(err).__name__}: {err}"
+            res, error = None, err
         if error is not None:
-            failures.append({"variant": vc.name, "n": n, "seed": run_seed,
-                             "error": error})
+            failures.append(_failed_run(vc, n, run_seed, error))
         runs.append((run_seed, res))
     return runs
 
@@ -234,8 +250,7 @@ def fit_time_exponent(sizes, times):
 
 
 def run_scaling_study(spec):
-    """Per-size aggregates for the spec's one variant (baseline for a spec
-    built without `variants`; `topocsp bench scaling` passes v2)."""
+    """Per-size aggregates for the spec's one variant."""
     name = spec.variants[0]
     vc = variant(name)
     rows = []
@@ -328,7 +343,8 @@ def trace_rows(result: SolveResult):
     ]
 
 
-def run_stability_study(n=6, n_seeds=20, budget=DEFAULT_BUDGET,
+def run_stability_study(n=DEFAULT_N, n_seeds=DEFAULT_N_SEEDS,
+                        budget=DEFAULT_BUDGET,
                         master_seed=DEFAULT_MASTER_SEED):
     """Gradient-stability comparison: full system vs full without the
     rank-one step, on one shared list of instance seeds.
@@ -339,8 +355,10 @@ def run_stability_study(n=6, n_seeds=20, budget=DEFAULT_BUDGET,
     solve or update_map_spectrum raises is left out of its arm's figures
     and listed, as {variant, n, seed, error}, in the arm's failures, a key
     present only when a run failed; an arm with no finished run reports NaN
-    for its float figures.
+    for its float figures. Raises ValueError, before any run, for the
+    values a StudySpec rejects.
     """
+    (n,), n_seeds, budget = _run_settings((n,), n_seeds, budget)
     full = variant("v2")
     no_delta = dict(ablation_configs())["full-delta"]
     seeds = [derive_seed(master_seed, "v2", n, i) for i in range(n_seeds)]
@@ -359,8 +377,7 @@ def run_stability_study(n=6, n_seeds=20, budget=DEFAULT_BUDGET,
                              *update_map_spectrum(res, inst.constraints, vc),
                              res.final_energy))
             except Exception as err:
-                failures.append({"variant": vc.name, "n": n, "seed": s,
-                                 "error": f"{type(err).__name__}: {err}"})
+                failures.append(_failed_run(vc, n, s, err))
         g_mean, g_max, diverged, events, lam, cond, energy = (
             zip(*runs) if runs else [()] * 7)
         out[label] = {

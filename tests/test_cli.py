@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from topocsp import studies
 from topocsp.cli import main
 from topocsp.curvature import all_edge_curvatures, node_step_scales
 from topocsp.graphs import build_graph
@@ -253,6 +254,22 @@ def test_bench_rejects_a_size_option_the_study_does_not_read(
     assert err.startswith("topocsp: error:") and err.count("\n") == 1
     assert f"{option[0]} does not apply to the {study} study" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("study", ["seeds", "scaling", "ablation"])
+def test_bench_leaves_every_default_to_the_spec(tmp_path, capsys,
+                                                monkeypatch, study):
+    # a bare bench run writes the spec StudySpec builds from the study
+    # alone; every run fails at once, so no solve is paid for
+    def fail(*args, **kwargs):
+        raise RuntimeError("not solved")
+    monkeypatch.setattr(studies, "solve", fail)
+    out = str(tmp_path / study)
+    code, _, _ = run_main(["bench", study, "--out", out], capsys)
+    assert code == 2
+    with open(tmp_path / study / "spec.json") as f:
+        written = json.load(f)
+    assert written == StudySpec(study=study, out_dir=out).to_json_dict()
 
 
 def test_bench_requires_out(capsys):

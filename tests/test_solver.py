@@ -328,6 +328,19 @@ def test_solve_rejects_bad_budget():
     inst = generate_instance(3, seed=0)
     with pytest.raises(ValueError):
         solve(inst, variant("v2"), budget=0, seed=0)
+    # 2.5 used to raise a TypeError mid-run, and True to run one sweep
+    for budget in (2.5, True, float("nan"), "ten"):
+        with pytest.raises(ValueError, match="budget must be a whole number"):
+            solve(inst, variant("baseline"), budget=budget, seed=0)
+
+
+def test_solve_takes_a_float_budget_with_a_whole_value():
+    inst = generate_instance(3, seed=0)
+    for name in ("baseline", "v2"):
+        a = solve(inst, variant(name), budget=3.0, seed=0)
+        b = solve(inst, variant(name), budget=3, seed=0)
+        assert a.steps == b.steps <= 3
+        assert a.final_states.tobytes() == b.final_states.tobytes()
 
 
 def test_sweeps_evaluated_counts_the_work():

@@ -8,8 +8,9 @@ import pytest
 from topocsp import studies
 from topocsp.solver import variant, solve
 from topocsp.problems import generate_instance
-from topocsp.studies import (ABLATION_HEADER, SCALING_HEADER, SEEDS_HEADER,
-                             TRACE_HEADER, StudySpec, ablation_configs,
+from topocsp.studies import (ABLATION_HEADER, DEFAULT_SIZES, SCALING_HEADER,
+                             SEED_STUDY_VARIANTS, SEEDS_HEADER, TRACE_HEADER,
+                             StudySpec, ablation_configs,
                              derive_seed, fit_time_exponent, run_ablation,
                              run_scaling_study, run_seed_study,
                              run_stability_study, trace_rows)
@@ -67,7 +68,7 @@ def test_spec_validation():
 
 def test_spec_rejects_unknown_variant():
     # an unknown name must not run as an all-off configuration
-    for study in ("seeds", "scaling", "ablation"):
+    for study in ("seeds", "scaling"):
         with pytest.raises(ValueError, match="unknown variant 'v3'"):
             StudySpec(study=study, variants=("v2", "v3"))
 
@@ -133,8 +134,8 @@ def test_scaling_spec_records_the_variant_that_ran(tmp_path):
     assert written["variants"] == ["v1"]
     assert report.summary["variant"] == "v1"
     assert StudySpec.load(tmp_path / "spec.json") == spec
-    # a spec built without variants runs baseline
-    assert StudySpec(study="scaling").variants == ("baseline",)
+    # a spec built without variants runs v2
+    assert StudySpec(study="scaling").variants == ("v2",)
 
 
 def test_scaling_spec_rejects_a_second_variant(tmp_path):
@@ -147,6 +148,65 @@ def test_scaling_spec_rejects_a_second_variant(tmp_path):
                                 "variants": ["v1", "v2"]}))
     with pytest.raises(ValueError, match="runs one variant"):
         StudySpec.load(path)
+
+
+def test_ablation_spec_takes_no_variants(tmp_path):
+    # the ablation study runs its own ten configurations, so a variant list
+    # would be read by nothing; an empty one names nothing
+    for variants in (("v2",), ("v1",), ("baseline", "v2")):
+        with pytest.raises(ValueError, match="ablation study takes no"):
+            StudySpec(study="ablation", variants=variants)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"study": "ablation", "variants": ["v2"]}))
+    with pytest.raises(ValueError, match="ablation study takes no"):
+        StudySpec.load(path)
+    assert StudySpec(study="ablation").variants == ()
+
+
+def test_spec_defaults_per_study():
+    assert StudySpec(study="scaling").sizes == DEFAULT_SIZES
+    for study in ("seeds", "ablation"):
+        assert StudySpec(study=study).sizes == (6,)
+    assert StudySpec(study="seeds").variants == SEED_STUDY_VARIANTS
+    spec = StudySpec(study="seeds")
+    assert (spec.n_seeds, spec.budget, spec.master_seed) == (20, 500, 42)
+
+
+def test_bare_scaling_spec_runs_v2_over_default_sizes(tmp_path, monkeypatch):
+    ran = []
+
+    def record(inst, vc, budget, seed):
+        ran.append((vc.name, inst.n))
+        raise RuntimeError("not solved")
+    monkeypatch.setattr(studies, "solve", record)
+    rep = run_scaling_study(StudySpec(study="scaling", n_seeds=1,
+                                      out_dir=str(tmp_path)))
+    assert ran == [("v2", n) for n in DEFAULT_SIZES]
+    assert rep.summary["variant"] == "v2"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("sizes", (3.7,)), ("sizes", (True,)), ("sizes", ("3.5",)),
+    ("n_seeds", 2.5), ("n_seeds", True), ("n_seeds", float("nan")),
+    ("budget", 2.5), ("budget", True), ("budget", float("inf"))])
+def test_spec_rejects_a_number_that_is_not_whole(tmp_path, field, value):
+    # 3.7 used to run n=3, and a fractional budget failed every run
+    with pytest.raises(ValueError, match="must be a whole number"):
+        StudySpec(study="seeds", **{field: value})
+    d = StudySpec(study="seeds").to_json_dict()
+    d[field] = list(value) if field == "sizes" else value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="must be a whole number"):
+        StudySpec.load(path)
+
+
+def test_spec_takes_a_float_with_a_whole_value():
+    spec = StudySpec(study="scaling", sizes=(2.0, np.int64(3)), n_seeds=2.0,
+                     budget=np.float64(30))
+    assert (spec.sizes, spec.n_seeds, spec.budget) == ((2, 3), 2, 30)
+    assert all(type(v) is int
+               for v in (*spec.sizes, spec.n_seeds, spec.budget))
 
 
 def test_fit_time_exponent_recovers_powers():
@@ -260,11 +320,11 @@ def test_summary_lists_each_failed_run(tmp_path, monkeypatch):
             raise RuntimeError("no luck for this seed")
         return real(inst, vc, budget=budget, seed=seed)
     monkeypatch.setattr(studies, "solve", fail_one)
-    for study, runner in (("seeds", run_seed_study),
-                          ("scaling", run_scaling_study),
-                          ("ablation", run_ablation)):
+    for study, runner, variants in (("seeds", run_seed_study, ("v2",)),
+                                    ("scaling", run_scaling_study, ("v2",)),
+                                    ("ablation", run_ablation, None)):
         out = tmp_path / study
-        spec = StudySpec(study=study, sizes=(3,), variants=("v2",),
+        spec = StudySpec(study=study, sizes=(3,), variants=variants,
                          out_dir=str(out), **FAST)
         rep = runner(spec)
         want = [{"variant": "full" if study == "ablation" else "v2", "n": 3,
@@ -351,6 +411,24 @@ def test_stability_arm_with_no_finished_run_reports_nan(monkeypatch):
                     "mean_energy"):
             assert np.isnan(stats[key])
         assert stats["divergences"] == stats["energy_increase_events"] == 0
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(budget=0), "budget must be >= 1"),
+    (dict(budget=2.5), "budget must be a whole number"),
+    (dict(budget=True), "budget must be a whole number"),
+    (dict(n=1), "size must be >= 2"),
+    (dict(n=3.7), "size must be a whole number"),
+    (dict(n_seeds=0), "n_seeds must be >= 1"),
+    (dict(n_seeds=2.5), "n_seeds must be a whole number")])
+def test_stability_study_rejects_bad_settings_before_any_run(
+        monkeypatch, kwargs, message):
+    # these used to become failed runs, NaN figures or a TypeError
+    def no_run(*args, **kw):
+        raise AssertionError("a run started")
+    monkeypatch.setattr(studies, "solve", no_run)
+    with pytest.raises(ValueError, match=message):
+        run_stability_study(**{"n": 3, "n_seeds": 2, "budget": 20, **kwargs})
 
 
 def test_stability_study_structure():

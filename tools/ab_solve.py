@@ -19,7 +19,9 @@ perfbench does. Writes BENCH_<workload>.json (or --out): per variant the
 median over its pairs of the change/base time ratio and the summed times,
 the summed ratio over all pairs, the names compared bitwise, nproc, the
 platform, and each checkout's git commit, whether its tree had uncommitted
-changes, and the sha256 of its package source.
+changes, and the sha256 of its package source. Without --out it exits 1,
+before any solve, when BENCH_<workload>.json already exists in the working
+directory, so that a run never silently replaces a committed record.
 """
 from __future__ import annotations
 
@@ -170,6 +172,10 @@ def main(argv=None):
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", help="JSON file (default BENCH_<workload>.json)")
     args = p.parse_args(argv)
+    out = Path(args.out or f"BENCH_{args.workload}.json")
+    if args.out is None and out.exists():
+        sys.exit(f"ab_solve: {out} exists; give --out to write elsewhere "
+                 f"or to replace it")
     pairs, compared = run(args.base, args.change, args.workload, args.rounds,
                           args.seed)
     variants = summarize(pairs)
@@ -185,7 +191,6 @@ def main(argv=None):
         "bitwise_equal": compared,
         "summed_ratio": change / base, "variants": variants, "pairs": pairs,
     }
-    out = Path(args.out or f"BENCH_{args.workload}.json")
     out.write_text(json.dumps(result, indent=1) + "\n")
     for v, s in variants.items():
         print(f"{v}: median ratio {s['median_ratio']:.3f}, summed "
