@@ -12,10 +12,10 @@ constraint count (MSE) or left as a raw sum (SSE).
 One gradient pass computes the residuals once and the analytic gradient of
 the weighted total from them; loss_components adds the family losses and
 the weighted total from the same residuals, total_energy is a view of it,
-and loss_gradient runs the gradient pass alone. It takes one (n, 64) state
-array or a batch (P, n, 64) of them, each batch row with its own weights.
-A batch row gives the same floats, bit for bit, as the single-state call
-on that row.
+and loss_gradient runs the gradient pass alone. One code path takes one
+(n, 64) state array with (3,) weights, adding no batch axis, or a batch
+(P, n, 64) of them with (P, 3) weights. A batch row gives the same floats,
+bit for bit, as the call on that row alone.
 """
 from __future__ import annotations
 
@@ -55,16 +55,15 @@ class LossWeights:
 def weighted_total(w, l_data, l_phys, l_logic):
     """Weighted energy of the family losses, summed left to right; w is one
     (3,) array of family weights or (P, 3) rows, one per batch row."""
-    return w[..., 0] * l_data + w[..., 1] * l_phys + w[..., 2] * l_logic
+    return w.T[0] * l_data + w.T[1] * l_phys + w.T[2] * l_logic
 
 
-def weight_rows(weights, p):
-    """(p, 3) family weights from one LossWeights or from rows of weights."""
+def weight_rows(weights, lead):
+    """Family weights shaped lead + (3,), from one LossWeights or from rows
+    of weights: lead is () for one state array and (P,) for a batch."""
     w = weights.as_array() if isinstance(weights, LossWeights) else weights
     w = np.asarray(w, dtype=float)
-    if w.shape == (p, 3):
-        return w
-    return w.reshape(1, 3) if p == 1 else np.broadcast_to(w, (p, 3))
+    return w if w.shape == lead + (3,) else np.broadcast_to(w, lead + (3,))
 
 
 DEFAULT_WEIGHTS = LossWeights(1.0, 10.0, 2.0)
@@ -152,10 +151,10 @@ class ConstraintSet:
 
     def _cells(self, p):
         """(anchor cells, ordering cells) of a flat batch of p rows, each
-        row's offset added. One row's are the set's own cells; p rows are
-        the first p rows of one table, built for the largest batch seen and
-        rebuilt when a larger one arrives, so a set holds one batch's
-        cells."""
+        row's offset added. One state array, like a batch of one row, reads
+        the set's own cells; p rows are the first p rows of one table,
+        built for the largest batch seen and rebuilt when a larger one
+        arrives, so a set holds one batch's cells."""
         if p == 1:
             return self._anchor_cells, self._ordering_cells
         if self._cell_table is None or len(self._cell_table[0]) < p:
@@ -244,7 +243,8 @@ def _table(rows, width, name):
 
 @dataclass
 class LossBreakdown:
-    """Family losses, their weighted total, and the gradient of the total."""
+    """Family losses, their weighted total, and the gradient of the total:
+    numbers for one state array, (P,) arrays for a batch."""
 
     l_data: float
     l_phys: float
@@ -253,34 +253,31 @@ class LossBreakdown:
     grad: np.ndarray
 
 
-def _batch(states, cs):
-    """(P, n, 64) C-contiguous float view of a state array or batch, and
-    whether the input was a single (n, 64) array."""
+def _states(states, cs):
+    """C-contiguous float view of one (n, 64) state array or a batch
+    (P, n, 64) of them."""
     s = np.ascontiguousarray(states, dtype=float)
-    single = s.ndim == 2
-    if single:
-        s = s[None]
-    if s.ndim != 3 or s.shape[1:] != (cs.n_nodes, STATE_DIM):
+    if s.ndim not in (2, 3) or s.shape[-2:] != (cs.n_nodes, STATE_DIM):
         raise ConstraintError(
             f"states must be ({cs.n_nodes}, {STATE_DIM}) or a batch of them, "
             f"got {np.shape(states)}")
-    return s, single
+    return s
 
 
 def row_sums(x):
-    """Sum of each batch row; x must be C-contiguous, so that every row is
-    summed pairwise exactly as np.sum sums the single-state array."""
-    return np.add.reduce(x.reshape(x.shape[0], -1), axis=1)
+    """Sum over the last two axes of a C-contiguous (n, 64) array, or of
+    each row of a (P, n, 64) batch, summed pairwise as np.sum sums it."""
+    return np.add.reduce(x.reshape(x.shape[:-2] + (-1,)), axis=-1)
 
 
 def _separation_residuals(flat, cs):
     """Penetration depth phi = max(0, min_dist - |pos(a) - pos(b)|) per pair.
 
-    flat is a (P, n * 64) batch; returns phi (P, S), diff (P, S, 3) and
-    dist (P, S).
+    flat is one (n * 64,) state or a (P, n * 64) batch; returns phi
+    (..., S), diff (..., S, 3) and dist (..., S).
     """
-    ends = flat.take(cs._separation_cells, axis=1)
-    diff = ends[:, 0] - ends[:, 1]
+    ends = flat.take(cs._separation_cells, axis=-1)
+    diff = ends[..., 0, :, :] - ends[..., 1, :, :]
     sq = diff * diff
     # summed left to right, as row_norms sums its axis of three;
     # test_loss_bits_pinned holds these floats
@@ -292,21 +289,23 @@ def _separation_residuals(flat, cs):
 
 
 def _ordering_residuals(flat, cs):
-    """Violation psi = max(0, pos(a)[axis] - pos(b)[axis] + margin), (P, O)."""
-    ends = flat.take(cs._ordering_cells, axis=1)
+    """Violation psi = max(0, pos(a)[axis] - pos(b)[axis] + margin) per
+    ordering, (..., O)."""
+    ends = flat.take(cs._ordering_cells, axis=-1)
     o = cs.n_orderings
-    psi = ends[:, :o] - ends[:, o:]
+    psi = ends[..., :o] - ends[..., o:]
     psi += cs.ord_margin
     return np.maximum(0.0, psi, out=psi)
 
 
 def _gradient(s, cs, norm, w):
-    """Gradient of the weighted total at a (P, n, 64) batch under (P, 3)
-    weights, with the residuals it is built from.
+    """Gradient of the weighted total at one (n, 64) state under (3,)
+    weights, or at a (P, n, 64) batch under (P, 3) weights, with the
+    residuals it is built from.
 
-    Returns grad (P, n, 64) and (resid, phi, psi): the anchor residuals
-    (P, A * 64), the separation depths (P, S) and the ordering violations
-    (P, O), which the family losses square and sum.
+    Returns grad, shaped like s, and (resid, phi, psi): the anchor residuals
+    (..., A * 64), the separation depths (..., S) and the ordering
+    violations (..., O), which the family losses square and sum.
 
     Hinge terms contribute zero exactly at their kink (subgradient choice);
     the separation direction is zeroed when the pair distance is below 1e-12.
@@ -315,33 +314,35 @@ def _gradient(s, cs, norm, w):
     so each cell sums its terms in the same order whatever the batch size.
     An inactive ordering adds two exact zeros, which change no sum.
     """
-    flat = s.reshape(s.shape[0], -1)
+    flat = s.reshape(s.shape[:-2] + (-1,))
     d_data, d_phys, d_logic = cs.divisors(norm)
-    anchor_cells, ordering_cells = cs._cells(s.shape[0])
+    anchor_cells, ordering_cells = cs._cells(len(flat) if s.ndim == 3 else 1)
 
-    resid = flat.take(cs._anchor_cells, axis=1)
+    resid = flat.take(cs._anchor_cells, axis=-1)
     resid -= cs.anchor_refs.ravel()
-    coef = 2.0 * w[:, 0] / d_data
+    coef = 2.0 * w.T[0] / d_data
     cells = [anchor_cells]
-    terms = [(coef[:, None] * resid).ravel()]
+    terms = [(coef[..., None] * resid).ravel()]
 
     phi, diff, dist = _separation_residuals(flat, cs)
     # d(phi^2)/d pos(a) = -2 phi * (pos(a)-pos(b))/dist, active when phi > 0;
-    # the active pairs in row-major order
-    rows, pairs = ((phi > 0.0) & (dist > _DIST_FLOOR)).nonzero()
-    if rows.size:
-        coef = ((-2.0 * w[rows, 1] / d_phys) * phi[rows, pairs]
-                / dist[rows, pairs])
-        g = coef[:, None] * diff[rows, pairs]
+    # the active pairs in row-major order, as (rows, pairs) of a batch
+    act = ((phi > 0.0) & (dist > _DIST_FLOOR)).nonzero()
+    pairs = act[-1]
+    if pairs.size:
+        coef = (-2.0 * w[act[:-1] + (1,)] / d_phys) * phi[act] / dist[act]
+        g = coef[:, None] * diff[act]
         # every a end, then every b end
-        ends = cs._separation_cells[:, pairs] + (rows * flat.shape[1])[:, None]
+        ends = cs._separation_cells[:, pairs]
+        if s.ndim == 3:  # each batch row's offset
+            ends += (act[0] * flat.shape[1])[:, None]
         cells.append(ends.ravel())
         terms.append(np.concatenate((g, -g)).ravel())
 
     psi = _ordering_residuals(flat, cs)
-    coef = (2.0 * w[:, 2:] / d_logic) * psi
+    coef = (2.0 * w[..., 2:] / d_logic) * psi
     cells.append(ordering_cells)
-    terms.append(np.concatenate((coef, -coef), axis=1).ravel())
+    terms.append(np.concatenate((coef, -coef), axis=-1).ravel())
 
     grad = np.bincount(np.concatenate(cells), np.concatenate(terms),
                        minlength=flat.size).reshape(s.shape)
@@ -352,20 +353,18 @@ def loss_components(states, cs, norm=MSE, weights=None):
     """Family losses, weighted total and the gradient of that total; the
     losses are taken from the residuals the gradient pass built.
 
-    weights=None means unit weights. For a batch the loss fields are (P,)
-    arrays, weights may be (P, 3) rows, and grad is (P, n, 64).
+    weights=None means unit weights. For one state array the loss fields
+    are numbers; for a batch they are (P,) arrays, weights may be (P, 3)
+    rows, and grad is (P, n, 64).
     """
-    s, single = _batch(states, cs)
-    w = weight_rows(np.ones(3) if weights is None else weights, s.shape[0])
+    s = _states(states, cs)
+    w = weight_rows(np.ones(3) if weights is None else weights, s.shape[:-2])
     grad, (resid, phi, psi) = _gradient(s, cs, norm, w)
     d_data, d_phys, d_logic = cs.divisors(norm)
-    l_data = row_sums(resid * resid) / d_data
-    l_phys = row_sums(phi * phi) / d_phys
-    l_logic = row_sums(psi * psi) / d_logic
+    l_data = np.add.reduce(resid * resid, axis=-1) / d_data
+    l_phys = np.add.reduce(phi * phi, axis=-1) / d_phys
+    l_logic = np.add.reduce(psi * psi, axis=-1) / d_logic
     total = weighted_total(w, l_data, l_phys, l_logic)
-    if single:
-        return LossBreakdown(float(l_data[0]), float(l_phys[0]),
-                             float(l_logic[0]), float(total[0]), grad[0])
     return LossBreakdown(l_data, l_phys, l_logic, total, grad)
 
 
@@ -377,9 +376,8 @@ def total_energy(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
 def loss_gradient(states, cs, weights=DEFAULT_WEIGHTS, norm=MSE):
     """Analytic gradient of total_energy, shaped like states; the gradient
     pass of loss_components alone, with no family loss computed."""
-    s, single = _batch(states, cs)
-    grad = _gradient(s, cs, norm, weight_rows(weights, s.shape[0]))[0]
-    return grad[0] if single else grad
+    s = _states(states, cs)
+    return _gradient(s, cs, norm, weight_rows(weights, s.shape[:-2]))[0]
 
 
 @dataclass
@@ -398,9 +396,9 @@ def violation_stats(states, cs):
     if np.shape(states) != (cs.n_nodes, STATE_DIM):
         raise ConstraintError(f"states must be one ({cs.n_nodes}, "
                               f"{STATE_DIM}) array, got {np.shape(states)}")
-    flat = np.asarray(states, dtype=float).reshape(1, -1)
-    phi = _separation_residuals(flat, cs)[0][0]
-    psi = _ordering_residuals(flat, cs)[0]
+    flat = np.asarray(states, dtype=float).reshape(-1)
+    phi = _separation_residuals(flat, cs)[0]
+    psi = _ordering_residuals(flat, cs)
     phi_mean = float(phi.mean()) if phi.size else 0.0
     psi_mean = float(psi.mean()) if psi.size else 0.0
     total = phi.size + psi.size

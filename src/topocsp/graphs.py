@@ -46,15 +46,15 @@ def pairwise_weights(states):
     states = np.asarray(states, dtype=float)
     norms = row_norms(states)
     unit = states / np.maximum(norms, _NORM_FLOOR)[..., None]
-    w = unit @ np.swapaxes(unit, -1, -2)
+    w = unit @ unit.swapaxes(-1, -2)
     w += 1.0
     w /= 2.0
     np.maximum(w, WEIGHT_FLOOR, out=w)
     # degenerate states get the floor against every partner
     bad = norms < _NORM_FLOOR
-    if bad.any():
+    if np.logical_or.reduce(bad, axis=None):
         w[bad] = WEIGHT_FLOOR
-        np.swapaxes(w, -1, -2)[bad] = WEIGHT_FLOOR
+        w.swapaxes(-1, -2)[bad] = WEIGHT_FLOOR
     n = w.shape[-1]
     w.reshape(w.shape[:-2] + (n * n,))[..., ::n + 1] = 0.0  # the diagonal
     return w
@@ -99,6 +99,6 @@ def build_graph(states):
     n = states.shape[-2]
     if n < 1:
         raise ValueError("need at least one state")
-    if not np.isfinite(states).all():
+    if not np.logical_and.reduce(np.isfinite(states), axis=None):
         raise ValueError("states must be finite")
     return SemanticGraph(weights=pairwise_weights(states))

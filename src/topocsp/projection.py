@@ -21,15 +21,16 @@ by a componentwise clip of the state to [-1, 1]. The loop stops when the
 driving energy falls below tau or after t_max iterations. alpha = 0.01,
 tau = 1e-6 and the bounds [-1, 1] are constants of the loop.
 
-The loop runs one (n, 64) state array or a batch (P, n, 64) of them, each
-batch row with its own loss weights and beta: one search generation is one
-call. Each row keeps its own course, and its trace has one row per sweep
-it ran. It stops at tau, and at a fixed point: a sweep that leaves every
-node below epsilon moves nothing, and every later sweep would repeat it. It
-is dropped when its energy goes non-finite, its trace ending with that
-sweep's row, or when its line-search step does, with no row for that sweep.
-Each batch row ends with the same states and trace, bit for bit, as the
-same row run alone.
+The loop runs one (n, 64) state array, with (3,) loss weights and one
+beta, or a batch (P, n, 64) of them, with (P, 3) weights and (P,) beta, on
+one code path: one search generation is one call, and a batch of one row
+runs as that row, with no batch axis. Each row keeps its own course, and
+its trace has one row per sweep it ran. It stops at tau, and at a fixed
+point: a sweep that leaves every node below epsilon moves nothing, and
+every later sweep would repeat it. It is dropped when its energy goes
+non-finite, its trace ending with that sweep's row, or when its line-search
+step does, with no row for that sweep. Each batch row ends with the same
+states and trace, bit for bit, as the same row run alone.
 
 The loss is evaluated once after each sweep, at the new states. That one
 evaluation gives the sweep's trace losses and the next sweep's gradient,
@@ -135,29 +136,28 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
 
     Exposed separately so update maps can be probed at a frozen state. grad
     is the loss gradient at `states` under `weights`, computed here when
-    omitted; the gradient norms in stats are its norms. On one (n, 64)
-    array, stats holds floats grad_max and grad_mean, and a non-finite
-    line-search step raises DivergenceError. On a batch (P, n, 64), with
-    weights (P, 3) or one LossWeights and beta (P,) or one number, stats
-    holds (P,) arrays of those two plus the masks `moved`
+    omitted; the gradient norms in stats are its norms. It sweeps one
+    (n, 64) array under one LossWeights or (3,) weights and one beta, or a
+    batch (P, n, 64) under weights (P, 3) or one LossWeights and beta (P,)
+    or one number. stats holds grad_max and grad_mean and the masks `moved`
     (some node stepped) and `diverged` (the line-search step was non-finite
-    at a moving node; the row comes back unchanged). With the rank-one step
-    on, a beta outside [0, 2] raises ValueError.
+    at a moving node; the row comes back unchanged): numbers for one array,
+    (P,) arrays for a batch. On one array a diverged step raises
+    DivergenceError. With the rank-one step on, a beta outside [0, 2]
+    raises ValueError.
     """
-    if cfg.use_delta and not np.all((0.0 <= beta) & (beta <= 2.0)):
+    if cfg.use_delta and not np.logical_and.reduce(
+            (0.0 <= beta) & (beta <= 2.0), axis=None):
         raise ValueError(f"beta must be in [0, 2], got {beta}")
     s = np.ascontiguousarray(states, dtype=float)
-    single = s.ndim == 2
-    if single:
-        s = s[None]
     if grad is None:
         grad = C.loss_gradient(s, cs, weights, cfg.norm)
     grad = grad.reshape(s.shape)
     norms = C.row_norms(grad)
     # a NaN norm counts as active, so an overflowed gradient drops the row
     active = ~(norms < cfg.epsilon)
-    moved = np.logical_or.reduce(active, axis=1)
-    diverged = np.zeros(len(s), dtype=bool)
+    moved = np.logical_or.reduce(active, axis=-1)
+    diverged = np.zeros(moved.shape, dtype=bool)
 
     clipped = grad
     if cfg.grad_clip is not None:
@@ -170,23 +170,23 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
     step = rate * clipped
     if cfg.use_delta:
         t = _secant_length(s, grad, step, cs, weights, cfg.norm)
-        step = np.multiply(beta, t)[:, None, None] * step
-        diverged = (active & ~np.isfinite(step).all(axis=-1)).any(axis=1)
+        step = np.multiply(beta, t)[..., None, None] * step
+        diverged = np.logical_or.reduce(
+            active & ~np.logical_and.reduce(np.isfinite(step), axis=-1),
+            axis=-1)
         # a diverged row comes back unchanged
-        active &= ~diverged[:, None]
+        active &= ~diverged[..., None]
         moved = moved & ~diverged
     out = s - step
     out.clip(*cfg.state_clip, out=out)
     # an inactive node keeps its bits, so a row that moved nothing is a copy
     out = np.where(active[..., None], out, s)
 
+    if s.ndim == 2 and diverged:
+        raise DivergenceError(_STEP_FAILED)
     g_max, g_mean = _norm_stats(norms)
-    stats = {"grad_max": g_max, "grad_mean": g_mean}
-    if single:
-        if diverged[0]:
-            raise DivergenceError(_STEP_FAILED)
-        return out[0], {k: float(v[0]) for k, v in stats.items()}
-    return out, {**stats, "moved": moved, "diverged": diverged}
+    return out, {"grad_max": g_max, "grad_mean": g_mean, "moved": moved,
+                 "diverged": diverged}
 
 
 def _secant_length(s, grad, step, cs, weights, norm):
@@ -211,7 +211,8 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     On a batch (P, n, 64) with weights (P, 3) or one LossWeights and beta
     (P,) or one number, returns (final states (P, n, 64), list of P
     traces); a row that diverged gets NaN final states and a trace whose
-    failure says why, and the other rows go on.
+    failure says why, and the other rows go on. One array and a batch of
+    one row both run without a batch axis.
 
     grad, shaped like states, is the loss gradient at the start states
     under the weights, as a previous call's final_grad gives it; it is
@@ -219,27 +220,31 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     the right one the run is the same, bit for bit, as without it.
     """
     s = np.array(states, dtype=float, order="C")
-    single = s.ndim == 2
-    if single:
-        s = s[None]
-    p_count = s.shape[0]
-    w = C.weight_rows(weights, p_count)
+    rows = s[None] if s.ndim == 2 else s  # the states as a batch
+    p_count = len(rows)
+    w = C.weight_rows(weights, (p_count,))
     b = np.broadcast_to(np.asarray(beta, dtype=float), (p_count,))
     t_max = cfg.t_max
     table = np.empty((len(ROW_FIELDS), t_max, p_count))
-    starts = np.empty((t_max,) + s.shape)
+    starts = np.empty((t_max,) + rows.shape)
     done = np.zeros(p_count, dtype=int)  # trace rows per batch row
     failure = {}
     live = np.arange(p_count)
-    sel = slice(None)  # indexes the live rows; a slice until one leaves
+    # indexes the live rows: one row's index, so that it runs without the
+    # batch axis, else every row until one leaves
+    sel = 0 if p_count == 1 else ...
     final_grad = [None] * p_count
-    cur = s
+    cur = rows[sel]
     if grad is None:
-        grad = C.loss_gradient(cur, cs, w, cfg.norm)
-    grad = np.reshape(grad, s.shape)
+        grad = C.loss_gradient(cur, cs, w[sel], cfg.norm)
+    grad = np.reshape(grad, cur.shape)
     for t in range(t_max):
         starts[t, sel] = cur
-        new, st = sweep_once(cur, cs, w[sel], b[sel], cfg, grad)
+        try:
+            new, st = sweep_once(cur, cs, w[sel], b[sel], cfg, grad)
+        except DivergenceError:  # one row's line-search step overflowed
+            new, st = cur, {"grad_max": np.nan, "grad_mean": np.nan,
+                            "moved": False, "diverged": True}
         # one evaluation gives this row's losses and the next sweep's gradient
         bd = C.loss_components(new, cs, cfg.norm, w[sel])
         grad = bd.grad
@@ -247,23 +252,27 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
                             st["grad_max"], st["grad_mean"])
         total = bd.l_total
         stay = st["moved"] & (total >= cfg.tau) & (total < np.inf)
-        if t + 1 < t_max and stay.all():
+        if t + 1 < t_max and np.logical_and.reduce(stay, axis=None):
             cur = new
             continue
         stay &= t + 1 < t_max  # the call's last sweep ends every row
+        diverged = st["diverged"]
+        if new.ndim == 2:  # the one row, viewed as a batch of one
+            new, grad = new[None], grad[None]
+            stay, total, diverged = np.atleast_1d(stay, total, diverged)
         leave = ~stay
         gone = live[leave]
-        s[gone] = new[leave]
-        dropped = st["diverged"] | ~np.isfinite(total)
-        done[gone] = t + 1 - st["diverged"][leave]
+        rows[gone] = new[leave]
+        dropped = diverged | ~np.isfinite(total)
+        done[gone] = t + 1 - diverged[leave]
         for i in np.flatnonzero(leave):
             if dropped[i]:
-                failure[live[i]] = (_STEP_FAILED if st["diverged"][i]
+                failure[live[i]] = (_STEP_FAILED if diverged[i]
                                     else _ENERGY_FAILED)
-                s[live[i]] = np.nan
+                rows[live[i]] = np.nan
             else:
                 final_grad[live[i]] = grad[i].copy()
-        if not stay.any():
+        if not np.logical_or.reduce(stay):
             break
         live, cur, grad = live[stay], new[stay], grad[stay]
         sel = live
@@ -276,8 +285,8 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
             start_states=starts[:k, p],
             sweeps_evaluated=int(k + (failure.get(p) == _STEP_FAILED)),
             failure=failure.get(p), final_grad=final_grad[p]))
-    if not single:
+    if s.ndim == 3:
         return s, traces
     if traces[0].failure is not None:
         raise DivergenceError(traces[0].failure, trace=traces[0])
-    return s[0], traces[0]
+    return s, traces[0]

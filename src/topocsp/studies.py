@@ -50,14 +50,15 @@ def derive_seed(master_seed, variant_name, n, index):
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big") >> 1
 
 
-def _run_settings(sizes, n_seeds, budget):
-    """(sizes, n_seeds, budget) as ints, or ValueError for a bad value."""
+def _run_settings(sizes, n_seeds, budget, master_seed):
+    """(sizes, n_seeds, budget, master_seed) as ints, or ValueError for a
+    bad value; 42.0 derives the seeds of 42, and True is no seed."""
     n_seeds = whole(n_seeds, "n_seeds", least=1)
     budget = whole(budget, "budget", least=1)
     sizes = tuple(whole(n, "size", least=2) for n in sizes)
     if not sizes:
         raise ValueError("sizes must be non-empty")
-    return sizes, n_seeds, budget
+    return sizes, n_seeds, budget, whole(master_seed, "master_seed")
 
 
 @dataclass
@@ -77,8 +78,9 @@ class StudySpec:
         scaling = self.study == "scaling"
         if self.sizes is None:
             self.sizes = DEFAULT_SIZES if scaling else (DEFAULT_N,)
-        self.sizes, self.n_seeds, self.budget = _run_settings(
-            self.sizes, self.n_seeds, self.budget)
+        self.sizes, self.n_seeds, self.budget, self.master_seed = \
+            _run_settings(self.sizes, self.n_seeds, self.budget,
+                          self.master_seed)
         if self.variants is None:
             self.variants = {"seeds": SEED_STUDY_VARIANTS,
                              "scaling": ("v2",)}.get(self.study, ())
@@ -358,7 +360,8 @@ def run_stability_study(n=DEFAULT_N, n_seeds=DEFAULT_N_SEEDS,
     for its float figures. Raises ValueError, before any run, for the
     values a StudySpec rejects.
     """
-    (n,), n_seeds, budget = _run_settings((n,), n_seeds, budget)
+    (n,), n_seeds, budget, master_seed = _run_settings(
+        (n,), n_seeds, budget, master_seed)
     full = variant("v2")
     no_delta = dict(ablation_configs())["full-delta"]
     seeds = [derive_seed(master_seed, "v2", n, i) for i in range(n_seeds)]

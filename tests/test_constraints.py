@@ -304,6 +304,16 @@ def test_batch_rows_match_single_calls(rng):
                 assert one.grad.tobytes() == g[p].tobytes()
                 for f in ("l_data", "l_phys", "l_logic", "l_total"):
                     assert getattr(lb, f)[p] == getattr(one, f)
+                # a batch of one row runs the batch path on that row
+                row = loss_components(batch[p:p + 1], cs, norm, rows[p:p + 1])
+                assert row.grad.shape == (1, n, 64)
+                assert row.grad.tobytes() == g[p].tobytes()
+                assert loss_gradient(batch[p:p + 1], cs, rows[p:p + 1],
+                                     norm).tobytes() == g[p].tobytes()
+                for f in ("l_data", "l_phys", "l_logic", "l_total"):
+                    assert getattr(row, f).shape == (1,)
+                    assert (getattr(row, f).tobytes()
+                            == np.asarray(getattr(one, f)).tobytes())
 
 
 def test_no_weights_means_unit_weights(rng):

@@ -455,3 +455,100 @@ def test_one_evaluation_per_swept_state(monkeypatch):
         assert evaluated[0] == cfg.t_max and evaluated[1] == 1
         assert len(calls) == per_sweep * cfg.t_max + 1
         assert sum(calls) == sum(per_sweep * k + 1 for k in evaluated)
+
+
+# the projection configs of the three variants, each under both norms
+RANK_CONFIGS = {
+    f"{name}-{norm}": ProjectionConfig(norm=norm, **flags)
+    for name, flags in (
+        ("baseline", dict(grad_clip=None, use_delta=False,
+                          use_curvature=False)),
+        ("v1", dict(grad_clip=None, use_delta=False, use_curvature=True)),
+        ("v2", {}))
+    for norm in (C.MSE, C.SSE)}
+
+
+def rank_cases():
+    """{name: (states (n, 64), cs, weights (3,), beta)}: the rows of
+    batch_problem that run every sweep, sit at a fixed point and leave
+    early, the start of test_nan_gradient_drops_the_candidate, whose data
+    weight overflows its gradient, and the one-node problem of
+    test_overflowed_gradient_diverges, whose anchor overflows it."""
+    states, cs, weights, beta = batch_problem()
+    cases = {name: (states[p], cs, weights[p], beta[p])
+             for name, p in (("ordinary", 1), ("fixed", 2), ("early", 3))}
+    inst = generate_instance(6, 0)
+    start = inst.initial_states.copy()
+    c6 = inst.constraints
+    start[c6.anchor_ids[0], 3:] = c6.anchor_refs[0, 3:]
+    cases["overflowed weight"] = (start, c6, np.array([1e308, 10.0, 2.0]),
+                                  0.8)
+    one, _ = single_anchor_problem()
+    ref = np.zeros(64)
+    ref[0] = 1.5e308
+    cases["overflowed anchor"] = (
+        one, ConstraintSet.build(n_nodes=1, anchors={0: ref}),
+        np.ones(3), 0.8)
+    return cases
+
+
+def run_three_ways(states, cs, weights, beta, cfg):
+    """(final states, trace) of project_states on one (n, 64) array, on a
+    one-row batch and as row 1 of a three-row batch; the one array's final
+    states are None when it raised DivergenceError."""
+    try:
+        runs = [project_states(states, cs, weights, beta, cfg)]
+    except DivergenceError as exc:
+        runs = [(None, exc.trace)]
+    out, (trace,) = project_states(states[None], cs, weights[None],
+                                   np.array([beta]), cfg)
+    runs.append((out[0], trace))
+    other = np.array([1.0, 10.0, 2.0])
+    out, traces = project_states(np.stack([states] * 3), cs,
+                                 np.stack([other, weights, other]),
+                                 np.array([1.3, beta, 0.5]), cfg)
+    runs.append((out[1], traces[1]))
+    return runs
+
+
+def outcome(trace, cfg):
+    if trace.failure is not None:
+        return trace.failure
+    if trace.l_total[-1] < cfg.tau:
+        return "below tau"
+    return "every sweep" if trace.iterations_run == cfg.t_max \
+        else "fixed point"
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_one_array_one_row_batch_and_batch_row_agree():
+    # one code path runs both ranks: a state array, a batch of that one
+    # row and that row among others end the same, bit for bit, whether the
+    # row runs every sweep, stops at a fixed point or below tau, or is
+    # dropped for a non-finite energy or line-search step
+    seen = set()
+    for cfg in RANK_CONFIGS.values():
+        for states, cs, weights, beta in rank_cases().values():
+            runs = run_three_ways(states, cs, weights, beta, cfg)
+            (single, first), rest = runs[0], runs[1:]
+            seen.add(outcome(first, cfg))
+            if single is None:
+                assert first.failure is not None
+            else:
+                assert single.shape == states.shape
+                rest.append((single, first))
+            for out, trace in rest:
+                assert out.tobytes() == rest[0][0].tobytes()
+                assert np.all(np.isnan(out)) == (first.failure is not None)
+                for f in ROW_FIELDS + ("start_states",):
+                    assert getattr(trace, f).tobytes() == \
+                        getattr(first, f).tobytes()
+                for f in ("sweeps_evaluated", "failure"):
+                    assert getattr(trace, f) == getattr(first, f)
+                if first.final_grad is None:
+                    assert trace.final_grad is None
+                else:
+                    assert trace.final_grad.tobytes() == \
+                        first.final_grad.tobytes()
+    assert seen == {"every sweep", "fixed point", "below tau",
+                    _ENERGY_FAILED, _STEP_FAILED}

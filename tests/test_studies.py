@@ -209,6 +209,50 @@ def test_spec_takes_a_float_with_a_whole_value():
                for v in (*spec.sizes, spec.n_seeds, spec.budget))
 
 
+@pytest.mark.parametrize("value", [True, 42.5, float("nan")])
+def test_spec_rejects_a_master_seed_that_is_not_whole(tmp_path, value):
+    # derive_seed formats the master seed into its key, so 42.0 and True
+    # used to run other seeds than 42 and 1, and were written to spec.json
+    with pytest.raises(ValueError, match="master_seed must be a whole"):
+        StudySpec(study="seeds", master_seed=value)
+    d = StudySpec(study="seeds").to_json_dict()
+    d["master_seed"] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match="master_seed must be a whole"):
+        StudySpec.load(path)
+
+
+def test_spec_takes_a_master_seed_with_a_whole_value(tmp_path):
+    for value in (42.0, np.int64(42), np.float64(42)):
+        spec = StudySpec(study="seeds", master_seed=value)
+        assert spec.master_seed == 42 and type(spec.master_seed) is int
+        spec.save(tmp_path / "spec.json")
+        # written as 42, not 42.0
+        assert '"master_seed": 42\n' in (tmp_path / "spec.json").read_text()
+
+
+def stability_seeds(monkeypatch, master_seed):
+    """The instance seeds a stability study at master_seed draws."""
+    seeds = []
+
+    def no_instance(n, seed):
+        seeds.append(seed)
+        raise RuntimeError("not generated")
+    monkeypatch.setattr(studies, "generate_instance", no_instance)
+    run_stability_study(n=3, n_seeds=2, budget=20, master_seed=master_seed)
+    return seeds
+
+
+def test_stability_study_takes_a_master_seed_with_a_whole_value(
+        monkeypatch):
+    assert stability_seeds(monkeypatch, 42.0) == \
+        stability_seeds(monkeypatch, 42)
+    for bad in (True, 42.5):
+        with pytest.raises(ValueError, match="master_seed must be a whole"):
+            stability_seeds(monkeypatch, bad)
+
+
 def test_fit_time_exponent_recovers_powers():
     sizes = np.array([2, 4, 8, 16])
     for p in (1.0, 1.7, 2.0):

@@ -41,3 +41,22 @@ def test_ab_solve_keeps_an_existing_default_record(tmp_path, monkeypatch):
     record.unlink()
     with pytest.raises(Timed):
         ab.main(argv)
+
+
+def test_ab_solve_names_a_reported_field_that_differs():
+    # two solves with the same arrays that differ in one reported field do
+    # not pass as the same solve, and the field is named
+    from dataclasses import replace
+
+    from topocsp.problems import generate_instance
+    from topocsp.solver import solve, variant
+    ab = load_tool("ab_solve")
+    res = solve(generate_instance(4, seed=0), variant("baseline"), budget=5)
+    assert res.stopped_by == "budget"
+    same, names = ab.differing(ab.columns(res), ab.columns(res))
+    assert same == []
+    assert {"final_energy", "adopted_params", "final_states",
+            *ab.REPORTED} <= set(names)
+    other = replace(res, stopped_by="fixed_point")
+    assert ab.differing(ab.columns(res), ab.columns(other))[0] == [
+        "stopped_by"]

@@ -9,10 +9,13 @@ repository's perfbench/workloads.py, which it only reads. Each round solves
 every job of the workload's panel with both versions back to back, the
 version that goes first alternating from job to job and round to round. A
 round's solve seeds are the ones perfbench/run.py draws for that round:
-derive_seed(seed, round, variant, n, index). Each pair must end in bitwise
-equal final states, adopted energies and trace columns (every array field of
-SolveResult.trace that both checkouts' traces have); the script exits 1 at
-the first pair that does not, naming what differs.
+derive_seed(seed, round, variant, n, index). Each pair must report the same
+solve: bitwise equal final states, final energy, adopted energies, adopted
+(lambdas, beta) pairs and trace columns (every array field of
+SolveResult.trace that both checkouts' traces have), and equal REPORTED
+fields (generations, sweep count, stop reason, failure, success, event and
+guard counts). The script exits 1 at the first pair that does not, naming
+the fields that differ.
 
 Both versions solve the same panel, built once, in every round, as
 perfbench does. Writes BENCH_<workload>.json (or --out): per variant the
@@ -93,24 +96,41 @@ def describe(checkout):
             "src_sha256": h.hexdigest()}
 
 
+# the SolveResult fields besides its arrays, compared by value
+REPORTED = ("generations", "sweeps_evaluated", "stopped_by", "failure",
+            "success", "energy_increase_events", "guard_triggers")
+
+
 def columns(res):
-    """A solve's final states, adopted energies and trace array fields."""
+    """What a solve reports: its final states, final energy, adopted
+    energies, adopted (lambdas, beta) rows and trace array fields as
+    arrays, and its REPORTED fields as they are."""
     t = res.trace
     cols = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)
             if isinstance(getattr(t, f.name), np.ndarray)}
     cols["final_states"] = res.final_states
+    cols["final_energy"] = np.asarray(res.final_energy, dtype=float)
     cols["adopted_energies"] = np.asarray(res.adopted_energies, dtype=float)
+    cols["adopted_params"] = np.asarray(
+        [np.append(lam, beta) for lam, beta in res.adopted_params],
+        dtype=float).reshape(-1, 4)
+    cols.update({k: getattr(res, k) for k in REPORTED})
     return cols
 
 
+def _same(x, y):
+    """Arrays of one shape and the same bits, or equal other values."""
+    if isinstance(x, np.ndarray):
+        return (x.shape == y.shape and np.ascontiguousarray(x).tobytes()
+                == np.ascontiguousarray(y).tobytes())
+    return x == y
+
+
 def differing(a, b):
-    """The names both column sets hold whose arrays differ in shape or
-    bits, and the names compared."""
+    """The names both column sets hold whose values differ, and the names
+    compared."""
     names = sorted(a.keys() & b.keys())
-    return [k for k in names
-            if a[k].shape != b[k].shape
-            or np.ascontiguousarray(a[k]).tobytes()
-            != np.ascontiguousarray(b[k]).tobytes()], names
+    return [k for k in names if not _same(a[k], b[k])], names
 
 
 def run(base, change, workload, rounds, seed):
