@@ -14,11 +14,5 @@ class InfeasibleInitError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """A projection or update-map probe met a non-finite energy or step.
-
-    Carries the partial trace accumulated before the blow-up in ``trace``.
-    """
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    """An update-map probe met a non-finite line-search step, so the map
+    has no Jacobian there (solver.update_map_jacobian)."""

@@ -29,8 +29,10 @@ its trace has one row per sweep it ran. It stops at tau, and at a fixed
 point: a sweep that leaves every node below epsilon moves nothing, and
 every later sweep would repeat it. It is dropped when its energy goes
 non-finite, its trace ending with that sweep's row, or when its line-search
-step does, with no row for that sweep. Each batch row ends with the same
-states and trace, bit for bit, as the same row run alone.
+step does, with no row for that sweep. A divergence is data, not an error,
+at both ranks: the row ends with NaN states and a trace whose failure says
+why. Each batch row ends with the same states and trace, bit for bit, as
+the same row run alone.
 
 The loss is evaluated once after each sweep, at the new states. That one
 evaluation gives the sweep's trace losses and the next sweep's gradient,
@@ -53,7 +55,6 @@ from . import constraints as C
 from .curvature import node_step_scales
 # delta_step is unused here; perfbench/tracer.py wraps it under this name
 from .delta import DEFAULT_CLIP, DEFAULT_EPSILON, delta_step  # noqa: F401
-from .errors import DivergenceError
 from .graphs import STATE_DIM, build_graph
 
 ROW_FIELDS = ("l_total", "l_data", "l_phys", "l_logic", "grad_max",
@@ -142,9 +143,8 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
     or one number. stats holds grad_max and grad_mean and the masks `moved`
     (some node stepped) and `diverged` (the line-search step was non-finite
     at a moving node; the row comes back unchanged): numbers for one array,
-    (P,) arrays for a batch. On one array a diverged step raises
-    DivergenceError. With the rank-one step on, a beta outside [0, 2]
-    raises ValueError.
+    (P,) arrays for a batch. With the rank-one step on, a beta outside
+    [0, 2] raises ValueError.
     """
     if cfg.use_delta and not np.logical_and.reduce(
             (0.0 <= beta) & (beta <= 2.0), axis=None):
@@ -182,8 +182,6 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
     # an inactive node keeps its bits, so a row that moved nothing is a copy
     out = np.where(active[..., None], out, s)
 
-    if s.ndim == 2 and diverged:
-        raise DivergenceError(_STEP_FAILED)
     g_max, g_mean = _norm_stats(norms)
     return out, {"grad_max": g_max, "grad_mean": g_mean, "moved": moved,
                  "diverged": diverged}
@@ -206,13 +204,12 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     """Run the projection loop.
 
     On one (n, 64) array with one LossWeights and beta, returns (final
-    states, ProjectionTrace) and raises DivergenceError, carrying the
-    partial trace, when the energy or the line-search step goes non-finite.
-    On a batch (P, n, 64) with weights (P, 3) or one LossWeights and beta
-    (P,) or one number, returns (final states (P, n, 64), list of P
-    traces); a row that diverged gets NaN final states and a trace whose
-    failure says why, and the other rows go on. One array and a batch of
-    one row both run without a batch axis.
+    states, ProjectionTrace); on a batch (P, n, 64) with weights (P, 3) or
+    one LossWeights and beta (P,) or one number, returns (final states
+    (P, n, 64), list of P traces). A row whose energy or line-search step
+    goes non-finite gets NaN final states and a trace whose failure says
+    why, and the other rows go on; the loop never raises for it. One array
+    and a batch of one row both run without a batch axis.
 
     grad, shaped like states, is the loss gradient at the start states
     under the weights, as a previous call's final_grad gives it; it is
@@ -240,11 +237,7 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     grad = np.reshape(grad, cur.shape)
     for t in range(t_max):
         starts[t, sel] = cur
-        try:
-            new, st = sweep_once(cur, cs, w[sel], b[sel], cfg, grad)
-        except DivergenceError:  # one row's line-search step overflowed
-            new, st = cur, {"grad_max": np.nan, "grad_mean": np.nan,
-                            "moved": False, "diverged": True}
+        new, st = sweep_once(cur, cs, w[sel], b[sel], cfg, grad)
         # one evaluation gives this row's losses and the next sweep's gradient
         bd = C.loss_components(new, cs, cfg.norm, w[sel])
         grad = bd.grad
@@ -285,8 +278,4 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
             start_states=starts[:k, p],
             sweeps_evaluated=int(k + (failure.get(p) == _STEP_FAILED)),
             failure=failure.get(p), final_grad=final_grad[p]))
-    if s.ndim == 3:
-        return s, traces
-    if traces[0].failure is not None:
-        raise DivergenceError(traces[0].failure, trace=traces[0])
-    return s, traces[0]
+    return (s, traces) if s.ndim == 3 else (s, traces[0])

@@ -36,7 +36,7 @@ import numpy as np
 from . import constraints as C
 from .cmaes import (DEFAULT_SIGMA0, STALL_GENERATIONS, ParamEncoding,
                     cma_ask, cma_init, cma_tell, stall_count)
-from .errors import DivergenceError
+from .errors import DivergenceError, InfeasibleInitError
 from .problems import physics_aware_init
 from .projection import (ROW_FIELDS, ProjectionConfig, ProjectionTrace,
                          grad_stats, project_states, sweep_once)
@@ -162,8 +162,11 @@ def _projection_config(vc):
 def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     """Run one variant on one instance; never raises for a diverging run.
 
-    Raises ValueError when the budget is not a whole number of at least 1
-    or the start energy is not finite.
+    With physics init on, the positions start on the jittered grid of
+    problems.physics_aware_init, or where the instance puts them when that
+    grid cannot keep its nodes min_sep apart. Raises ValueError when the
+    budget is not a whole number of at least 1 or the start energy is not
+    finite.
     """
     budget = C.whole(budget, "budget", least=1)
     t0 = time.perf_counter()
@@ -173,8 +176,11 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
 
     states = np.array(inst.initial_states, dtype=float, copy=True)
     if vc.use_physics_init:
-        states[:, :C.POSITION_DIM] = physics_aware_init(inst.n, seed,
-                                                        inst.min_sep)
+        try:
+            states[:, :C.POSITION_DIM] = physics_aware_init(inst.n, seed,
+                                                            inst.min_sep)
+        except InfeasibleInitError:
+            pass  # the grid cannot honour min_sep: keep the instance's start
 
     start = C.loss_components(states, cs, cfg.norm, ref)
     e_curr = start.l_total
@@ -351,7 +357,7 @@ def update_map_spectrum(res, cs, vc):
             lambdas, beta = res.adopted_params[t]
             w = C.LossWeights(*lambdas)
             g = C.loss_gradient(snap, cs, w, cfg.norm)
-            node = int(np.argmax(np.linalg.norm(g, axis=1)))
+            node = int(np.argmax(C.row_norms(g)))
             jac = update_map_jacobian(snap, cs, w, beta, cfg, node)
             sym = 0.5 * (jac + jac.T)
             eig = np.linalg.eigvalsh(sym)

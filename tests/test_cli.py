@@ -408,3 +408,21 @@ def test_infinite_min_dist_rejected_as_non_finite(tmp_path, capsys):
     assert out == ""
     assert "min_dist must be finite" in err
     assert "grid pitch" not in err
+
+
+@pytest.mark.parametrize("n,sep", [(3, 0.6), (20, 0.35)])
+def test_v2_solves_where_the_grid_cannot_honour_min_sep(tmp_path, capsys,
+                                                         n, sep):
+    # the grid pitch 1/ceil(n^(1/3)) is below the separation, so v2 starts
+    # from the instance's own positions, as baseline and v1 do
+    d = generate_instance(n, 1).to_json_dict()
+    d["separations"] = [[a, b, sep] for a, b, _ in d["separations"]]
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(d))
+    code, out, err = run_main(["solve", "--instance", str(path),
+                               "--variant", "v2", "--seed", "1"], capsys)
+    assert code == 0
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["n"] == n and payload["variant"] == "v2"
+    assert payload["steps"] >= 1 and not payload["diverged"]

@@ -6,7 +6,6 @@ from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, ConstraintSet,
                                  LossWeights, total_energy)
 from topocsp.curvature import node_step_scales
 from topocsp.delta import DeltaParams, delta_step
-from topocsp.errors import DivergenceError
 from topocsp.graphs import build_graph
 from topocsp.problems import generate_instance
 from topocsp.projection import (_ENERGY_FAILED, _STEP_FAILED, ROW_FIELDS,
@@ -167,17 +166,20 @@ def test_jacobi_sweep_order_independent():
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-def test_divergence_error_carries_trace():
+def test_divergence_comes_back_in_the_trace():
+    # one array reports a non-finite energy as a batch row does: NaN final
+    # states and a trace that ends with the sweep that blew up
     states = np.zeros((1, 64))
     ref = np.zeros(64)
     ref[0] = 1e200
     cs = ConstraintSet.build(n_nodes=1, anchors={0: ref},
                              separations=[], orderings=[])
-    with pytest.raises(DivergenceError) as exc:
-        project_states(states, cs, UNIT_WEIGHTS, 0.8, ProjectionConfig())
-    trace = exc.value.trace
+    out, trace = project_states(states, cs, UNIT_WEIGHTS, 0.8,
+                                ProjectionConfig())
     assert trace.iterations_run >= 1
     assert not np.isfinite(trace.l_total[-1])
+    assert trace.failure == _ENERGY_FAILED
+    assert np.all(np.isnan(out))
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -189,8 +191,9 @@ def test_overflowed_gradient_diverges():
     ref[0] = 1.5e308
     cs = ConstraintSet.build(n_nodes=1, anchors={0: ref},
                              separations=[], orderings=[])
-    with pytest.raises(DivergenceError):
-        sweep_once(states, cs, UNIT_WEIGHTS, 0.8, ProjectionConfig())
+    out, stats = sweep_once(states, cs, UNIT_WEIGHTS, 0.8, ProjectionConfig())
+    assert stats["diverged"] and not stats["moved"]
+    assert out.tobytes() == states.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
@@ -334,8 +337,10 @@ def test_batch_rows_match_running_alone():
             assert getattr(traces[p], f).tobytes() == getattr(tr, f).tobytes()
         for f in ("iterations_run", "sweeps_evaluated", "failure"):
             assert getattr(traces[p], f) == getattr(tr, f)
-    with pytest.raises(DivergenceError):
-        project_states(states[4], cs, LossWeights(*weights[4]), beta[4], cfg)
+    alone, tr = project_states(states[4], cs, LossWeights(*weights[4]),
+                               beta[4], cfg)
+    assert tr.failure == traces[4].failure == _STEP_FAILED
+    assert np.all(np.isnan(alone))
     assert traces[4].failure is not None
     assert np.all(np.isnan(out[4]))
 
@@ -492,22 +497,23 @@ def rank_cases():
     return cases
 
 
-def run_three_ways(states, cs, weights, beta, cfg):
-    """(final states, trace) of project_states on one (n, 64) array, on a
-    one-row batch and as row 1 of a three-row batch; the one array's final
-    states are None when it raised DivergenceError."""
-    try:
-        runs = [project_states(states, cs, weights, beta, cfg)]
-    except DivergenceError as exc:
-        runs = [(None, exc.trace)]
-    out, (trace,) = project_states(states[None], cs, weights[None],
-                                   np.array([beta]), cfg)
-    runs.append((out[0], trace))
+def run_three_ways(run, states, cs, weights, beta, cfg):
+    """(states, report) of run, project_states or sweep_once, on one
+    (n, 64) array, on a one-row batch and as row 1 of a three-row batch;
+    a batch's report is taken at that row."""
+    def row(report, i):
+        if isinstance(report, list):  # project_states' traces
+            return report[i]
+        return {k: v[i] for k, v in report.items()}  # sweep_once's stats
+
+    runs = [run(states, cs, weights, beta, cfg)]
+    out, report = run(states[None], cs, weights[None], np.array([beta]), cfg)
+    runs.append((out[0], row(report, 0)))
     other = np.array([1.0, 10.0, 2.0])
-    out, traces = project_states(np.stack([states] * 3), cs,
-                                 np.stack([other, weights, other]),
-                                 np.array([1.3, beta, 0.5]), cfg)
-    runs.append((out[1], traces[1]))
+    out, report = run(np.stack([states] * 3), cs,
+                      np.stack([other, weights, other]),
+                      np.array([1.3, beta, 0.5]), cfg)
+    runs.append((out[1], row(report, 1)))
     return runs
 
 
@@ -529,14 +535,12 @@ def test_one_array_one_row_batch_and_batch_row_agree():
     seen = set()
     for cfg in RANK_CONFIGS.values():
         for states, cs, weights, beta in rank_cases().values():
-            runs = run_three_ways(states, cs, weights, beta, cfg)
+            runs = run_three_ways(project_states, states, cs, weights, beta,
+                                  cfg)
             (single, first), rest = runs[0], runs[1:]
             seen.add(outcome(first, cfg))
-            if single is None:
-                assert first.failure is not None
-            else:
-                assert single.shape == states.shape
-                rest.append((single, first))
+            assert single.shape == states.shape
+            rest.append((single, first))
             for out, trace in rest:
                 assert out.tobytes() == rest[0][0].tobytes()
                 assert np.all(np.isnan(out)) == (first.failure is not None)
@@ -552,3 +556,25 @@ def test_one_array_one_row_batch_and_batch_row_agree():
                         first.final_grad.tobytes()
     assert seen == {"every sweep", "fixed point", "below tau",
                     _ENERGY_FAILED, _STEP_FAILED}
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_one_array_one_row_batch_and_batch_row_sweep_alike():
+    # one sweep of a state array, of a batch of that one row and of that row
+    # among others gives the same bits and stats, whether the row moves,
+    # sits at a fixed point or meets a non-finite line-search step
+    seen = set()
+    for cfg in RANK_CONFIGS.values():
+        for states, cs, weights, beta in rank_cases().values():
+            (single, first), *rest = run_three_ways(
+                sweep_once, states, cs, weights, beta, cfg)
+            assert single.shape == states.shape
+            seen.add((bool(first["moved"]), bool(first["diverged"])))
+            if first["diverged"]:
+                assert single.tobytes() == states.tobytes()
+            for out, stats in rest:
+                assert out.tobytes() == single.tobytes()
+                for k in ("moved", "diverged", "grad_max", "grad_mean"):
+                    assert np.asarray(stats[k]).tobytes() == \
+                        np.asarray(first[k]).tobytes()
+    assert seen == {(True, False), (False, False), (False, True)}

@@ -1,6 +1,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -60,3 +61,22 @@ def test_ab_solve_names_a_reported_field_that_differs():
     other = replace(res, stopped_by="fixed_point")
     assert ab.differing(ab.columns(res), ab.columns(other))[0] == [
         "stopped_by"]
+
+
+def test_study_digest_records_every_column_ab_solve_compares():
+    # the two A/B tools compare one set of names: a digest record holds
+    # each of ab_solve's columns, arrays as digests and the rest as they are
+    from topocsp.problems import generate_instance
+    from topocsp.solver import solve, variant
+    ab, digest = load_tool("ab_solve"), load_tool("study_digest")
+    res = solve(generate_instance(4, seed=0), variant("v2"), budget=20,
+                record_states=True)
+    cols = ab.columns(res)
+    record = digest._solve_record(res)
+    assert set(cols) <= set(record)
+    assert {"violations", "start_states", "adopted_params"} <= set(cols)
+    for k, v in cols.items():
+        if isinstance(v, np.ndarray) and v.ndim:
+            assert record[k] == digest._sha(v)
+        else:
+            assert record[k] == v

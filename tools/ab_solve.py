@@ -12,10 +12,11 @@ round's solve seeds are the ones perfbench/run.py draws for that round:
 derive_seed(seed, round, variant, n, index). Each pair must report the same
 solve: bitwise equal final states, final energy, adopted energies, adopted
 (lambdas, beta) pairs and trace columns (every array field of
-SolveResult.trace that both checkouts' traces have), and equal REPORTED
-fields (generations, sweep count, stop reason, failure, success, event and
-guard counts). The script exits 1 at the first pair that does not, naming
-the fields that differ.
+SolveResult.trace that both checkouts' traces have), and equal violation
+statistics and REPORTED fields (generations, sweep count, stop reason,
+failure, success, event and guard counts). The script exits 1 at the first
+pair that does not, naming the fields that differ. tools/study_digest.py
+records each solve from the same columns.
 
 Both versions solve the same panel, built once, in every round, as
 perfbench does. Writes BENCH_<workload>.json (or --out): per variant the
@@ -104,7 +105,8 @@ REPORTED = ("generations", "sweeps_evaluated", "stopped_by", "failure",
 def columns(res):
     """What a solve reports: its final states, final energy, adopted
     energies, adopted (lambdas, beta) rows and trace array fields as
-    arrays, and its REPORTED fields as they are."""
+    arrays, its violation statistics as a dict, and its REPORTED fields as
+    they are."""
     t = res.trace
     cols = {f.name: getattr(t, f.name) for f in dataclasses.fields(t)
             if isinstance(getattr(t, f.name), np.ndarray)}
@@ -114,6 +116,7 @@ def columns(res):
     cols["adopted_params"] = np.asarray(
         [np.append(lam, beta) for lam, beta in res.adopted_params],
         dtype=float).reshape(-1, 4)
+    cols["violations"] = dataclasses.asdict(res.violations)
     cols.update({k: getattr(res, k) for k in REPORTED})
     return cols
 

@@ -6,12 +6,10 @@
 `record` imports topocsp from CHECKOUT/src and runs the four studies at the
 sizes of tests/test_acceptance.py, 20 seeds each: seeds (baseline, v1 and
 v2 at n=6), scaling (v2 at 2..20), ablation (ten configurations at n=6) and
-stability (n=6). It records every solve with its counts, floats and the
-sha256 of its final states, trace and adopted energies, and each study's
-rows and summary; the trace digest covers TRACE_COLUMNS, those of them that
-the checkout's trace has. For the stability runs, which record their
-sweeps, it also records the sha256 of the recorded start states and
-(lambdas, beta) per sweep. It also records the fixed-weight solves of
+stability (n=6). It records every solve from the columns that
+tools/ab_solve.py compares (ab_solve.columns), each array as its sha256
+and a 0-d one as its float, plus its wall time, and each study's rows and
+summary. It also records the fixed-weight solves of
 tests/test_solver.py::test_fixed_variants_unchanged_at_n20 and
 `loss_components` on 300 random (instance, batch size, norm) cases, as sha256
 digests of the family losses, total and gradient.
@@ -30,16 +28,14 @@ import math
 import sys
 import tempfile
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from ab_solve import columns  # noqa: E402
+
 TIME_KEYS = {"wall_time", "mean_time", "time_exponent", "seconds"}
-# the trace columns hashed, those of them a checkout's trace has, so that
-# records of a checkout with fewer columns compare with one that has more
-TRACE_COLUMNS = ("l_total", "l_data", "l_phys", "l_logic", "grad_max",
-                 "grad_mean")
 LOSS_SIZES = (2, 3, 6, 12, 20, 40)
 LOSS_CASES = 300
 
@@ -52,21 +48,12 @@ def _sha(*arrays):
 
 
 def _solve_record(res):
-    t = res.trace
-    return {
-        "final_energy": res.final_energy, "steps": res.steps,
-        "generations": res.generations,
-        "sweeps_evaluated": res.sweeps_evaluated,
-        "energy_increase_events": res.energy_increase_events,
-        "guard_triggers": res.guard_triggers, "stopped_by": res.stopped_by,
-        "diverged": res.diverged, "success": res.success,
-        "violations": asdict(res.violations),
-        "final_states": _sha(res.final_states),
-        "trace": _sha(*(getattr(t, f) for f in TRACE_COLUMNS
-                        if hasattr(t, f))),
-        "adopted_energies": _sha(res.adopted_energies),
-        "wall_time": res.wall_time,
-    }
+    """ab_solve.columns of a solve, each array as its sha256 (a 0-d one
+    as its float), and its wall time."""
+    record = {k: (_sha(v) if v.ndim else float(v))
+              if isinstance(v, np.ndarray) else v
+              for k, v in columns(res).items()}
+    return {**record, "wall_time": res.wall_time}
 
 
 def _report(report, header):
@@ -83,11 +70,6 @@ def _record_studies(topocsp, master_seed, records):
         res = real_solve(inst, vc, **kwargs)
         key = f"{study[0]}/{vc.name}/n={inst.n}/seed={kwargs['seed']}"
         records[key] = _solve_record(res)
-        if kwargs.get("record_states"):
-            records[key]["start_states"] = _sha(res.trace.start_states)
-            # the per-row pairs keep their old key, so digests stay comparable
-            records[key]["recorded_params"] = _sha(
-                *(np.append(lam, beta) for lam, beta in res.adopted_params))
         return res
 
     runs = (
