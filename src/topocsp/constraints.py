@@ -340,7 +340,8 @@ def _gradient(s, cs, norm, w):
         terms.append(np.concatenate((g, -g)).ravel())
 
     psi = _ordering_residuals(flat, cs)
-    coef = (2.0 * w[..., 2:] / d_logic) * psi
+    # the weight column, (P, 1) for a batch and a number for one array
+    coef = (2.0 * (w[:, 2:] if s.ndim == 3 else w[2]) / d_logic) * psi
     cells.append(ordering_cells)
     terms.append(np.concatenate((coef, -coef), axis=-1).ravel())
 

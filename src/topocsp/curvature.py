@@ -9,7 +9,9 @@ curvature marks dense neighborhoods, negative curvature marks bottlenecks.
 Per-node step scales shrink steps in positive-curvature regions and enlarge
 them in negative ones, by the fixed law clamp(exp(-GAMMA * mean kappa),
 ETA_MIN, ETA_MAX). One operator evaluates kappa over the dense weight
-matrix, for all node pairs at once, and every entry point reads it. A
+matrix, for all node pairs at once, and every entry point reads it. It
+reads its degree terms from the graph: counted from the weights of a graph
+built by hand, and numbers for the complete graph of build_graph. A
 batched graph gets one curvature matrix and one step-scale row per batch
 row.
 """
@@ -24,30 +26,49 @@ ETA_MIN = 0.25
 ETA_MAX = 2.0
 
 
-def _curvature(graph):
-    """Curvature matrix kappa (..., n, n), zero off the edges, and the
-    degrees (..., n) as floats."""
-    w = graph.weights
+def _degree_terms(graph):
+    """The degree terms kappa reads: the divisor of the mean incident
+    curvature, sqrt(deg(u) deg(v)) and 1/deg(u) + 1/deg(v).
+
+    The complete graph of build_graph gives them as numbers: every degree
+    is d = n - 1, sqrt(d * d) is d exactly, and 1/d + 1/d is an exact
+    doubling, so they are the floats the degree arrays give. Any other
+    graph gives them as arrays, (..., n) and (..., n, n), from its degrees.
+    """
+    d = graph._degree
+    if d is not None:
+        inv = 1.0 / d
+        return d, d, inv + inv
     deg = graph.degrees().astype(float)
     # an isolated node lies on no edge, so its degree only needs to be
     # nonzero here: w is zero on every entry of its row and column
     d = np.maximum(deg, 1.0)
+    inv = 1.0 / d
+    return (deg, np.sqrt(d[..., :, None] * d[..., None, :]),
+            inv[..., :, None] + inv[..., None, :])
+
+
+def _curvature(graph):
+    """Curvature matrix kappa (..., n, n), zero off the edges, and the
+    divisor of the mean incident curvature: the degrees (..., n) as floats,
+    or the one degree of a complete graph as a number."""
+    w = graph.weights
+    deg, root, inv_sum = _degree_terms(graph)
     # the edges adjacent to e=(u, v) are the incident edges of u and of v
     # minus e itself at each end; dividing by sqrt(du dv) once, and not by
     # each sqrt, keeps the unit triangle at exactly 0
     wsum = np.add.reduce(w, axis=-1)
     adj = np.subtract(wsum[..., :, None], w, dtype=float)
     adj += wsum[..., None, :] - w
-    adj /= np.sqrt(d[..., :, None] * d[..., None, :])
-    inv = 1.0 / d
-    kappa = inv[..., :, None] + inv[..., None, :]
-    kappa -= adj
+    adj /= root
+    kappa = np.subtract(inv_sum, adj, out=adj)
     kappa *= w
     return kappa, deg
 
 
 def _scales(kappa, deg):
-    """(step scales, mean incident curvature) per node, (..., n) each."""
+    """(step scales, mean incident curvature) per node, (..., n) each; deg
+    is _curvature's divisor."""
     acc = np.add.reduce(kappa, axis=-1)
     mean = np.divide(acc, deg, out=np.zeros(acc.shape), where=deg > 0)
     scale = np.exp(-GAMMA * mean)

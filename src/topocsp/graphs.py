@@ -5,8 +5,9 @@ blocks. Edges carry affinity weights derived from cosine similarity of the
 endpoint states, mapped to (0, 1] with a small positive floor. A graph is
 its dense weight matrix, positive exactly on the edges. The solver builds
 the complete graph, over one state array or a batch (P, n, 64) of them:
-one (P, n, n) weight matrix. SemanticGraph also holds any other weight
-matrix built by hand.
+one (P, n, n) weight matrix, and knows that every node's degree is
+n - 1. SemanticGraph also holds any other weight matrix built by hand,
+whose degrees are counted from it.
 """
 from __future__ import annotations
 
@@ -51,8 +52,8 @@ def pairwise_weights(states):
     w /= 2.0
     np.maximum(w, WEIGHT_FLOOR, out=w)
     # degenerate states get the floor against every partner
-    bad = norms < _NORM_FLOOR
-    if np.logical_or.reduce(bad, axis=None):
+    if np.minimum.reduce(norms, axis=None) < _NORM_FLOOR:
+        bad = norms < _NORM_FLOOR
         w[bad] = WEIGHT_FLOOR
         w.swapaxes(-1, -2)[bad] = WEIGHT_FLOOR
     n = w.shape[-1]
@@ -69,6 +70,9 @@ class SemanticGraph:
     """
 
     weights: np.ndarray
+    # every node's degree, as a float, when build_graph knows the graph is
+    # complete; None for a graph built by hand. Not a field: no caller sets it
+    _degree = None
 
     @property
     def n_nodes(self):
@@ -101,4 +105,8 @@ def build_graph(states):
         raise ValueError("need at least one state")
     if not np.logical_and.reduce(np.isfinite(states), axis=None):
         raise ValueError("states must be finite")
-    return SemanticGraph(weights=pairwise_weights(states))
+    graph = SemanticGraph(weights=pairwise_weights(states))
+    if n > 1:
+        # every off-diagonal weight is at least WEIGHT_FLOOR > 0
+        graph._degree = float(n - 1)
+    return graph

@@ -16,10 +16,12 @@ along -D (t = 1, the plain step, when the denominator is not positive). The
 gating scalar beta places the state on that line: 1 lands on the estimated
 minimiser, (0, 2) lowers the energy of a quadratic, and 2 reflects to the
 same energy level. This is delta.delta_step toward the target s - t * D,
-which lies on the gradient line, computed directly. Either step is followed
-by a componentwise clip of the state to [-1, 1]. The loop stops when the
-driving energy falls below tau or after t_max iterations. alpha = 0.01,
-tau = 1e-6 and the bounds [-1, 1] are constants of the loop.
+which lies on the gradient line, computed directly. Either step clips the
+nodes it moves componentwise to [-1, 1]; a node whose gradient norm is
+below epsilon does not move and keeps its bits, in bounds or not. The loop
+stops when the driving energy falls below tau or after t_max iterations.
+alpha = 0.01, tau = 1e-6 and the bounds [-1, 1] are constants of the
+loop.
 
 The loop runs one (n, 64) state array, with (3,) loss weights and one
 beta, or a batch (P, n, 64) of them, with (P, 3) weights and (P,) beta, on
@@ -154,9 +156,11 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
         grad = C.loss_gradient(s, cs, weights, cfg.norm)
     grad = grad.reshape(s.shape)
     norms = C.row_norms(grad)
-    # a NaN norm counts as active, so an overflowed gradient drops the row
+    g_max, g_mean = _norm_stats(norms)
+    # a NaN norm counts as active, so an overflowed gradient drops the row;
+    # the max propagates it, so its row counts as moved
     active = ~(norms < cfg.epsilon)
-    moved = np.logical_or.reduce(active, axis=-1)
+    moved = ~(g_max < cfg.epsilon)
     diverged = np.zeros(moved.shape, dtype=bool)
 
     clipped = grad
@@ -179,10 +183,9 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
         moved = moved & ~diverged
     out = s - step
     out.clip(*cfg.state_clip, out=out)
-    # an inactive node keeps its bits, so a row that moved nothing is a copy
-    out = np.where(active[..., None], out, s)
-
-    g_max, g_mean = _norm_stats(norms)
+    # an inactive node keeps its bits, in bounds or not, so a row that moved
+    # nothing is a copy
+    np.copyto(out, s, where=~active[..., None])
     return out, {"grad_max": g_max, "grad_mean": g_mean, "moved": moved,
                  "diverged": diverged}
 
@@ -220,7 +223,9 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     rows = s[None] if s.ndim == 2 else s  # the states as a batch
     p_count = len(rows)
     w = C.weight_rows(weights, (p_count,))
-    b = np.broadcast_to(np.asarray(beta, dtype=float), (p_count,))
+    b = np.asarray(beta, dtype=float)
+    if b.shape != (p_count,):
+        b = np.broadcast_to(b, (p_count,))
     t_max = cfg.t_max
     table = np.empty((len(ROW_FIELDS), t_max, p_count))
     starts = np.empty((t_max,) + rows.shape)

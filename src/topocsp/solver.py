@@ -28,6 +28,7 @@ energy by STALL_REL of itself (`cmaes.stall_count`).
 """
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass, field, replace
 
@@ -219,8 +220,10 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         if search:
             thetas = cma_ask(st, rng)
             params = [ParamEncoding.decode(raw) for raw in thetas]
-        batch = np.broadcast_to(states, (len(params),) + states.shape)
-        call = replace(cfg, t_max=min(cfg.t_max, budget - steps))
+        batch = (np.broadcast_to(states, (len(params),) + states.shape)
+                 if search else states[None])
+        call = (cfg if cfg.t_max <= budget - steps
+                else replace(cfg, t_max=budget - steps))
         outs, traces = project_states(
             batch, cs, np.array([lam for lam, _ in params]),
             np.array([beta for _, beta in params]), call,
@@ -317,9 +320,11 @@ def update_map_jacobian(states, cs, weights, beta, cfg, node):
 
     The map takes the node's own 64 coordinates to their post-sweep values
     with every other node frozen at the given states. All 2 * 64 states
-    shifted by PROBE_H are swept as one batch; raises DivergenceError when
-    the line-search step is non-finite on any of them.
+    shifted by PROBE_H are swept as one batch, on a shallow copy of cs, so
+    that cs keeps no scatter cells for a batch that large; raises
+    DivergenceError when the line-search step is non-finite on any of them.
     """
+    cs = copy.copy(cs)
     states = np.asarray(states, dtype=float)
     dim = states.shape[1]
     shifts = PROBE_H * np.eye(dim)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -201,3 +202,32 @@ def test_batched_graph_matches_single(rng):
             s1, m1 = node_step_scales(one)
             assert s1.tobytes() == scale[p].tobytes()
             assert m1.tobytes() == mean[p].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6, 20])
+def test_complete_graph_degree_terms_match_the_degree_arrays(rng, n):
+    # build_graph's complete graph gives its degree terms as numbers; the
+    # same weights built by hand take the degree arrays, and every result
+    # has the same bits, floor weights of a zero-norm state included; no
+    # caller can declare a graph complete
+    assert [f.name for f in dataclasses.fields(SemanticGraph)] == ["weights"]
+    for lead in ((), (1,), (8,)):
+        states = rng.uniform(-1.0, 1.0, size=lead + (n, 64))
+        states[..., n // 2, :] = 0.0
+        built = build_graph(states)
+        by_hand = SemanticGraph(built.weights)
+        for got, want in zip(
+                (*node_step_scales(built), all_edge_curvatures(built)),
+                (*node_step_scales(by_hand), all_edge_curvatures(by_hand))):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        if not lead:
+            assert curvature_step_scales(built) == \
+                curvature_step_scales(by_hand)
+        deg = built.degrees()
+        assert deg.shape == lead + (n,)
+        assert deg.tobytes() == by_hand.degrees().tobytes()
+        assert np.all(deg == n - 1)
+    if n == 1:
+        scale, mean = node_step_scales(built)
+        assert scale.tolist() == [[1.0]] * 8 and mean.tolist() == [[0.0]] * 8

@@ -578,3 +578,42 @@ def test_one_array_one_row_batch_and_batch_row_sweep_alike():
                     assert np.asarray(stats[k]).tobytes() == \
                         np.asarray(first[k]).tobytes()
     assert seen == {(True, False), (False, False), (False, True)}
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_moved_is_some_node_above_epsilon():
+    # read from the max norm, moved is "some node's norm is not below
+    # epsilon", a NaN norm included, less the rows whose step diverged
+    seen_nan = False
+    for cfg in RANK_CONFIGS.values():
+        for states, cs, weights, beta in rank_cases().values():
+            norms = C.row_norms(C.loss_gradient(states, cs, weights,
+                                                cfg.norm))
+            seen_nan |= bool(np.isnan(norms).any())
+            want = np.logical_or.reduce(~(norms < cfg.epsilon), axis=-1)
+            pair = (np.stack([states] * 2), np.stack([weights] * 2),
+                    np.array([beta] * 2))
+            for rows, w, b in ((states, weights, beta), pair):
+                _, st = sweep_once(rows, cs, w, b, cfg)
+                assert np.array_equal(st["moved"], want & ~st["diverged"])
+    assert seen_nan
+
+
+def test_inactive_node_out_of_bounds_keeps_its_value():
+    # an unanchored node with a zero gradient does not move, so the clip to
+    # [-1, 1] does not reach it
+    inst = generate_instance(6, 1)
+    states = inst.initial_states.copy()
+    states[5, 10] = 3.0
+    assert 5 not in inst.constraints.anchor_ids
+    for name in ("baseline", "v1", "v2"):
+        cfg = RANK_CONFIGS[f"{name}-{C.MSE}"]
+        grad = C.loss_gradient(states, inst.constraints, DEFAULT_WEIGHTS,
+                               cfg.norm)
+        assert not grad[5].any()
+        out, st = sweep_once(states, inst.constraints, DEFAULT_WEIGHTS, 0.8,
+                             cfg)
+        assert st["moved"]
+        assert out[5, 10] == 3.0
+        assert out[5].tobytes() == states[5].tobytes()
+        assert np.all(np.abs(np.delete(out, 5, axis=0)) <= 1.0)

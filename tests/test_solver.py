@@ -324,6 +324,19 @@ def test_update_map_spectrum():
     assert update_map_spectrum(res, inst.constraints, vc) == (0.0, 0.0)
 
 
+def test_update_map_probes_keep_no_cells():
+    # the 128-row probe batches read their own scatter cells: the set keeps
+    # the table of the solve's largest batch, not one of 128 rows
+    inst = generate_instance(20, 5)
+    cs = inst.constraints
+    vc = variant("v2")
+    res = solve(inst, vc, seed=5, record_states=True)
+    kept = [a.shape for a in cs._cell_table]
+    assert kept[0][0] < 2 * 64
+    update_map_spectrum(res, cs, vc)
+    assert [a.shape for a in cs._cell_table] == kept
+
+
 def test_solve_rejects_bad_budget():
     inst = generate_instance(3, seed=0)
     with pytest.raises(ValueError):
