@@ -19,6 +19,7 @@ bit for bit, as the call on that row alone.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -164,6 +165,13 @@ class ConstraintSet:
                                 offset + self._ordering_cells)
         anchors, orderings = self._cell_table
         return anchors[:p].ravel(), orderings[:p].ravel()
+
+    def _one_off(self):
+        """A shallow copy for batches larger than the ones this set serves:
+        it reads the set's fields and cached cells, and since _cells
+        rebinds the table, never filling it in place, the table it builds
+        for such a batch dies with the copy."""
+        return copy.copy(self)
 
     @cached_property
     def _separation_cells(self):

@@ -61,12 +61,14 @@ def pairwise_weights(states):
     return w
 
 
-@dataclass
+@dataclass(frozen=True)
 class SemanticGraph:
-    """Immutable-by-convention graph: weights (n, n), symmetric, zero on the
-    diagonal and positive exactly on the edges.
+    """Immutable graph: weights (n, n), symmetric, zero on the diagonal and
+    positive exactly on the edges.
 
-    A batched graph has weights (P, n, n), one matrix per batch row.
+    A batched graph has weights (P, n, n), one matrix per batch row. The
+    weights cannot be reassigned, and must not be edited in place: the
+    graph of build_graph keeps its degrees as the number n - 1.
     """
 
     weights: np.ndarray
@@ -96,7 +98,8 @@ class SemanticGraph:
 
 def build_graph(states):
     """The complete SemanticGraph over one (n, 64) state array, or over a
-    batch (P, n, 64) of them."""
+    batch (P, n, 64) of them. Its degrees are fixed at n - 1, so its
+    weights must not be edited."""
     states = np.asarray(states, dtype=float)
     if states.ndim not in (2, 3) or states.shape[-1] != STATE_DIM:
         raise ValueError(f"states must be (n, {STATE_DIM}) or a batch of them")
@@ -108,5 +111,5 @@ def build_graph(states):
     graph = SemanticGraph(weights=pairwise_weights(states))
     if n > 1:
         # every off-diagonal weight is at least WEIGHT_FLOOR > 0
-        graph._degree = float(n - 1)
+        object.__setattr__(graph, "_degree", float(n - 1))
     return graph

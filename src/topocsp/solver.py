@@ -28,7 +28,6 @@ energy by STALL_REL of itself (`cmaes.stall_count`).
 """
 from __future__ import annotations
 
-import copy
 import time
 from dataclasses import dataclass, field, replace
 
@@ -220,8 +219,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         if search:
             thetas = cma_ask(st, rng)
             params = [ParamEncoding.decode(raw) for raw in thetas]
-        batch = (np.broadcast_to(states, (len(params),) + states.shape)
-                 if search else states[None])
+        batch = np.broadcast_to(states, (len(params),) + states.shape)
         call = (cfg if cfg.t_max <= budget - steps
                 else replace(cfg, t_max=budget - steps))
         outs, traces = project_states(
@@ -320,11 +318,9 @@ def update_map_jacobian(states, cs, weights, beta, cfg, node):
 
     The map takes the node's own 64 coordinates to their post-sweep values
     with every other node frozen at the given states. All 2 * 64 states
-    shifted by PROBE_H are swept as one batch, on a shallow copy of cs, so
-    that cs keeps no scatter cells for a batch that large; raises
-    DivergenceError when the line-search step is non-finite on any of them.
+    shifted by PROBE_H are swept as one batch; raises DivergenceError when
+    the line-search step is non-finite on any of them.
     """
-    cs = copy.copy(cs)
     states = np.asarray(states, dtype=float)
     dim = states.shape[1]
     shifts = PROBE_H * np.eye(dim)
@@ -350,6 +346,8 @@ def update_map_spectrum(res, cs, vc):
     probes; (0.0, 0.0) when nothing was recorded.
     """
     cfg = _projection_config(vc)
+    # the probe batches' scatter cells are built once here and not kept by cs
+    cs = cs._one_off()
     lam_max = 0.0
     cond = 0.0
     recorded = res.trace.start_states

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,10 @@ def test_degree(rng):
     assert path.degrees().tolist() == [1, 2, 1, 0]
     assert path.edges.tolist() == [[0, 1], [1, 2]]
     assert build_graph(states).degrees().tolist() == [3, 3, 3, 3]
+
+
+def test_graph_weights_cannot_be_reassigned(rng):
+    # build_graph's graph keeps its degrees as a number, so its weights stay
+    g = build_graph(random_states(rng, 4))
+    with pytest.raises(FrozenInstanceError):
+        g.weights = np.zeros((4, 4))

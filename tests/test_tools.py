@@ -82,12 +82,13 @@ def test_study_digest_records_every_column_ab_solve_compares():
             assert record[k] == v
 
 
-def test_sweep_cost_prints_both_checkouts(capsys):
+def test_sweep_cost_prints_both_checkouts(capsys, monkeypatch):
     # one timed call per case: the tool runs, checks the bits and prints
     # the per-sweep table and the step-scale timings of each checkout
     sweep_cost = load_tool("sweep_cost")
-    assert sweep_cost.main([str(ROOT), str(ROOT), "--calls", "1",
-                            "--runs", "1"]) == 0
+    monkeypatch.setattr(sweep_cost, "CALLS", 1)
+    monkeypatch.setattr(sweep_cost, "RUNS", 1)
+    assert sweep_cost.main([str(ROOT), str(ROOT)]) == 0
     out = capsys.readouterr().out
     assert out.count("| variant | n=3 | n=6 | n=20 | n=40 |") == 2
     assert out.count("| `v1` |") == 2

@@ -1,6 +1,6 @@
 """Time a fixed-weight sweep, and the curvature step scales, per checkout.
 
-    python3 tools/sweep_cost.py BASE [CHANGE] [--calls 40] [--runs 3]
+    python3 tools/sweep_cost.py BASE [CHANGE]
 
 Imports topocsp from BASE/src, and from CHANGE/src when given, under the
 module names topocsp_base and topocsp_change (tools/ab_solve.py's
@@ -9,12 +9,12 @@ load_topocsp). For each checkout it prints:
 - the per-sweep cost of the `baseline` and `v1` variants at n = 3, 6, 20
   and 40: a ten-sweep `project_states` call on `generate_instance(n, 5)`,
   handed its start gradient as a fixed-weight solve hands it, timed
-  `--calls` times; the fastest call, divided by the sweeps it evaluated,
-  and the lowest of `--runs` such runs;
+  CALLS = 40 times; the fastest call, divided by the sweeps it evaluated,
+  and the lowest of RUNS = 3 such runs;
 - `node_step_scales` in microseconds per call on the complete graph of
   one (20, 64) state array, of a batch (8, 20, 64), of a batch (8, 6, 64)
-  and of one (6, 64) array: the fastest of `--calls` blocks of 100 calls,
-  and the lowest of `--runs` such runs.
+  and of one (6, 64) array: the fastest of CALLS blocks of 100 calls, and
+  the lowest of RUNS such runs.
 
 With two checkouts, the runs alternate which side goes first, and each
 side's final states, trace columns and step scales must have the same
@@ -38,6 +38,8 @@ SIZES = (3, 6, 20, 40)
 VARIANTS = ("baseline", "v1")
 SCALE_SHAPES = ((20, 64), (8, 20, 64), (8, 6, 64), (6, 64))
 BLOCK = 100  # node_step_scales calls per timed block
+CALLS = 40  # timed calls (blocks, for node_step_scales) per run
+RUNS = 3
 
 
 class Side:
@@ -93,21 +95,21 @@ def _same(a, b):
                for x, y in zip(a, b))
 
 
-def measure(sides, calls, runs):
+def measure(sides):
     """{side: {case: lowest over runs of the fastest call}}; exits 1 when
     two sides' bits differ on a case."""
     best = {s: {} for s in sides}
     names = list(sides)
     jobs = ([("sweep", k) for k in sides[names[0]].cases]
             + [("scales", shape) for shape in SCALE_SHAPES])
-    for r in range(runs):
+    for r in range(RUNS):
         for j, (kind, key) in enumerate(jobs):
             order = names if (r + j) % 2 == 0 else names[::-1]
             bits = {}
             for s in order:
                 timed = getattr(sides[s], kind)
                 fastest = np.inf
-                for _ in range(calls):
+                for _ in range(CALLS):
                     t, bits[s] = timed(key)
                     fastest = min(fastest, t)
                 best[s][kind, key] = min(best[s].get((kind, key), np.inf),
@@ -136,17 +138,12 @@ def main(argv=None):
     p.add_argument("base", help="checkout holding src/topocsp")
     p.add_argument("change", nargs="?",
                    help="a second checkout, timed against the first")
-    p.add_argument("--calls", type=int, default=40,
-                   help="timed calls (blocks, for node_step_scales) per run")
-    p.add_argument("--runs", type=int, default=3)
     args = p.parse_args(argv)
-    if args.calls < 1 or args.runs < 1:
-        p.error("--calls and --runs must be at least 1")
     checkouts = {"base": args.base}
     if args.change:
         checkouts["change"] = args.change
     sides = {s: Side(path, f"topocsp_{s}") for s, path in checkouts.items()}
-    best = measure(sides, args.calls, args.runs)
+    best = measure(sides)
     print("\n\n".join(report(checkouts[s], best[s]) for s in sides))
     if len(sides) == 2:
         print("\nresults bitwise equal on every case")
