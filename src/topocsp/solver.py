@@ -220,8 +220,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
             thetas = cma_ask(st, rng)
             params = [ParamEncoding.decode(raw) for raw in thetas]
         batch = np.broadcast_to(states, (len(params),) + states.shape)
-        call = (cfg if cfg.t_max <= budget - steps
-                else replace(cfg, t_max=budget - steps))
+        call = replace(cfg, t_max=min(cfg.t_max, budget - steps))
         outs, traces = project_states(
             batch, cs, np.array([lam for lam, _ in params]),
             np.array([beta for _, beta in params]), call,
