@@ -326,11 +326,14 @@ def _gradient(s, cs, norm, w):
     d_data, d_phys, d_logic = cs.divisors(norm)
     anchor_cells, ordering_cells = cs._cells(len(flat) if s.ndim == 3 else 1)
 
+    # each family's weight column, (P, 1) for a batch and a number for one
+    # array; separations gather theirs per active pair
+    col = w.T[..., None] if s.ndim == 3 else w
+
     resid = flat.take(cs._anchor_cells, axis=-1)
     resid -= cs.anchor_refs.ravel()
-    coef = 2.0 * w.T[0] / d_data
     cells = [anchor_cells]
-    terms = [(coef[..., None] * resid).ravel()]
+    terms = [(2.0 * col[0] / d_data * resid).ravel()]
 
     phi, diff, dist = _separation_residuals(flat, cs)
     # d(phi^2)/d pos(a) = -2 phi * (pos(a)-pos(b))/dist, active when phi > 0;
@@ -348,8 +351,7 @@ def _gradient(s, cs, norm, w):
         terms.append(np.concatenate((g, -g)).ravel())
 
     psi = _ordering_residuals(flat, cs)
-    # the weight column, (P, 1) for a batch and a number for one array
-    coef = (2.0 * (w[:, 2:] if s.ndim == 3 else w[2]) / d_logic) * psi
+    coef = (2.0 * col[2] / d_logic) * psi
     cells.append(ordering_cells)
     terms.append(np.concatenate((coef, -coef), axis=-1).ravel())
 

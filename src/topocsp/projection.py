@@ -93,9 +93,9 @@ class ProjectionTrace:
     """Per-iteration records; losses are measured after each sweep.
 
     start_states holds each iteration's sweep-start states. sweeps_evaluated
-    counts the sweeps computed: one per row, plus the sweep whose
-    line-search step went non-finite, which leaves no row. failure says why
-    a run diverged, or None.
+    counts the sweeps the row was swept in: its rows, plus one when its
+    line-search step went non-finite, a sweep that leaves no row. failure
+    says why a run diverged, or None.
     final_grad is the loss gradient at the final states, (n, 64): a next
     call from those states under the same weights can start from it. It is
     None for a run that diverged.
@@ -229,13 +229,11 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     t_max = cfg.t_max
     table = np.empty((len(ROW_FIELDS), t_max, p_count))
     starts = np.empty((t_max,) + rows.shape)
-    done = np.zeros(p_count, dtype=int)  # trace rows per batch row
-    failure = {}
+    traces = [None] * p_count
     live = np.arange(p_count)
     # indexes the live rows: one row's index, so that it runs without the
     # batch axis, else every row until one leaves
     sel = 0 if p_count == 1 else ...
-    final_grad = [None] * p_count
     cur = rows[sel]
     if grad is None:
         grad = C.loss_gradient(cur, cs, w[sel], cfg.norm)
@@ -258,29 +256,20 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
         if new.ndim == 2:  # the one row, viewed as a batch of one
             new, grad = new[None], grad[None]
             stay, total, diverged = np.atleast_1d(stay, total, diverged)
-        leave = ~stay
-        gone = live[leave]
-        rows[gone] = new[leave]
-        dropped = diverged | ~np.isfinite(total)
-        done[gone] = t + 1 - diverged[leave]
-        for i in np.flatnonzero(leave):
-            if dropped[i]:
-                failure[live[i]] = (_STEP_FAILED if diverged[i]
-                                    else _ENERGY_FAILED)
-                rows[live[i]] = np.nan
-            else:
-                final_grad[live[i]] = grad[i].copy()
+        for i in np.flatnonzero(~stay):  # the rows that leave at sweep t
+            p = live[i]
+            k = t if diverged[i] else t + 1  # a diverged sweep leaves no row
+            failure = (_STEP_FAILED if diverged[i] else
+                       _ENERGY_FAILED if not np.isfinite(total[i]) else None)
+            rows[p] = np.nan if failure else new[i]
+            traces[p] = ProjectionTrace(
+                **{f: table[j, :k, p].copy()
+                   for j, f in enumerate(ROW_FIELDS)},
+                start_states=starts[:k, p], sweeps_evaluated=t + 1,
+                failure=failure,
+                final_grad=None if failure else grad[i].copy())
         if not np.logical_or.reduce(stay):
             break
         live, cur, grad = live[stay], new[stay], grad[stay]
         sel = live
-
-    traces = []
-    for p in range(p_count):
-        k = done[p]
-        traces.append(ProjectionTrace(
-            **{f: table[i, :k, p].copy() for i, f in enumerate(ROW_FIELDS)},
-            start_states=starts[:k, p],
-            sweeps_evaluated=int(k + (failure.get(p) == _STEP_FAILED)),
-            failure=failure.get(p), final_grad=final_grad[p]))
     return (s, traces) if s.ndim == 3 else (s, traces[0])

@@ -351,20 +351,19 @@ def update_map_spectrum(res, cs, vc):
     cond = 0.0
     recorded = res.trace.start_states
     n_rec = len(recorded)
-    if n_rec:
-        idx = np.unique(np.linspace(0, n_rec - 1, min(N_PROBES, n_rec))
-                        .round().astype(int))
-        for t in idx:
-            snap = recorded[t]
-            lambdas, beta = res.adopted_params[t]
-            w = C.LossWeights(*lambdas)
-            g = C.loss_gradient(snap, cs, w, cfg.norm)
-            node = int(np.argmax(C.row_norms(g)))
-            jac = update_map_jacobian(snap, cs, w, beta, cfg, node)
-            sym = 0.5 * (jac + jac.T)
-            eig = np.linalg.eigvalsh(sym)
-            mags = np.abs(eig)
-            lam_max = max(lam_max, float(eig.max()))
-            denom = mags.min()
-            cond = max(cond, float(mags.max() / denom) if denom > 0 else np.inf)
+    # an empty record gives no probe
+    idx = np.unique(np.linspace(0, n_rec - 1, min(N_PROBES, n_rec))
+                    .round().astype(int))
+    for t in idx:
+        snap = recorded[t]
+        w, beta = res.adopted_params[t]
+        g = C.loss_gradient(snap, cs, w, cfg.norm)
+        node = int(np.argmax(C.row_norms(g)))
+        jac = update_map_jacobian(snap, cs, w, beta, cfg, node)
+        sym = 0.5 * (jac + jac.T)
+        eig = np.linalg.eigvalsh(sym)
+        mags = np.abs(eig)
+        lam_max = max(lam_max, float(eig.max()))
+        denom = mags.min()
+        cond = max(cond, float(mags.max() / denom) if denom > 0 else np.inf)
     return lam_max, cond

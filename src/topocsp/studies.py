@@ -23,6 +23,7 @@ import numpy as np
 
 from .constraints import whole
 from .problems import generate_instance
+from .projection import ROW_FIELDS
 from .solver import (DEFAULT_BUDGET, VARIANT_FLAGS, SolveResult,
                      VariantConfig, solve, update_map_spectrum, variant)
 
@@ -37,6 +38,7 @@ SCALING_HEADER = ("n", "mean_energy", "std_energy", "mean_steps", "mean_time",
                   "mean_grad_norm", "success_rate", "mean_violations")
 ABLATION_HEADER = ("label", "variant", "mean_energy", "std_energy",
                    "success_rate", "delta_energy")
+# the header names of trace_rows' columns: the step, then ROW_FIELDS
 TRACE_HEADER = ("step", "L_total", "L_data", "L_phys", "L_logic",
                 "grad_max", "grad_mean")
 
@@ -337,12 +339,8 @@ def run_ablation(spec):
 
 def trace_rows(result: SolveResult):
     """Per-step rows matching TRACE_HEADER, steps numbered from 1."""
-    t = result.trace
-    return [
-        (i + 1, t.l_total[i], t.l_data[i], t.l_phys[i], t.l_logic[i],
-         t.grad_max[i], t.grad_mean[i])
-        for i in range(t.iterations_run)
-    ]
+    cols = [getattr(result.trace, f) for f in ROW_FIELDS]
+    return [(i + 1, *row) for i, row in enumerate(zip(*cols))]
 
 
 def run_stability_study(n=DEFAULT_N, n_seeds=DEFAULT_N_SEEDS,

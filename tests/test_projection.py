@@ -477,8 +477,11 @@ def rank_cases():
     """{name: (states (n, 64), cs, weights (3,), beta)}: the rows of
     batch_problem that run every sweep, sit at a fixed point and leave
     early, the start of test_nan_gradient_drops_the_candidate, whose data
-    weight overflows its gradient, and the one-node problem of
-    test_overflowed_gradient_diverges, whose anchor overflows it."""
+    weight overflows its gradient, the one-node problem of
+    test_overflowed_gradient_diverges, whose anchor overflows it, and a
+    row that fails after clean sweeps: its energy goes non-finite after
+    three rows without the rank-one step, and its line-search step after
+    six with it."""
     states, cs, weights, beta = batch_problem()
     cases = {name: (states[p], cs, weights[p], beta[p])
              for name, p in (("ordinary", 1), ("fixed", 2), ("early", 3))}
@@ -494,6 +497,11 @@ def rank_cases():
     cases["overflowed anchor"] = (
         one, ConstraintSet.build(n_nodes=1, anchors={0: ref}),
         np.ones(3), 0.8)
+    late = generate_instance(7, 400)
+    cases["late failure"] = (
+        late.initial_states, late.constraints,
+        np.array([5.446261259783498e+90, 9.74679525056575e+307,
+                  3.3326143202589383e+70]), 0.7023954069486562)
     return cases
 
 
@@ -531,14 +539,18 @@ def test_one_array_one_row_batch_and_batch_row_agree():
     # one code path runs both ranks: a state array, a batch of that one
     # row and that row among others end the same, bit for bit, whether the
     # row runs every sweep, stops at a fixed point or below tau, or is
-    # dropped for a non-finite energy or line-search step
+    # dropped for a non-finite energy or line-search step, in its first
+    # sweep or after clean ones while the batch's other rows run on
     seen = set()
+    late_failure = False
     for cfg in RANK_CONFIGS.values():
         for states, cs, weights, beta in rank_cases().values():
             runs = run_three_ways(project_states, states, cs, weights, beta,
                                   cfg)
             (single, first), rest = runs[0], runs[1:]
             seen.add(outcome(first, cfg))
+            late_failure |= (first.failure is not None
+                             and first.iterations_run >= 2)
             assert single.shape == states.shape
             rest.append((single, first))
             for out, trace in rest:
@@ -556,6 +568,7 @@ def test_one_array_one_row_batch_and_batch_row_agree():
                         first.final_grad.tobytes()
     assert seen == {"every sweep", "fixed point", "below tau",
                     _ENERGY_FAILED, _STEP_FAILED}
+    assert late_failure
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from ab_solve import load_topocsp  # noqa: E402
+from ab_solve import _same, load_topocsp  # noqa: E402
 
 SIZES = (3, 6, 20, 40)
 VARIANTS = ("baseline", "v1")
@@ -90,11 +90,6 @@ class Side:
         return (time.perf_counter() - t0) / BLOCK * 1e6, list(result)
 
 
-def _same(a, b):
-    return all(x.shape == y.shape and x.tobytes() == y.tobytes()
-               for x, y in zip(a, b))
-
-
 def measure(sides):
     """{side: {case: lowest over runs of the fastest call}}; exits 1 when
     two sides' bits differ on a case."""
@@ -114,7 +109,7 @@ def measure(sides):
                     fastest = min(fastest, t)
                 best[s][kind, key] = min(best[s].get((kind, key), np.inf),
                                          fastest)
-            if len(names) == 2 and not _same(*bits.values()):
+            if len(names) == 2 and not all(map(_same, *bits.values())):
                 sys.exit(f"sweep_cost: {kind} {key}: the checkouts' results "
                          f"differ")
     return best
