@@ -32,6 +32,10 @@ class ProblemInstance:
     constraints: ConstraintSet
 
     def __post_init__(self):
+        n_nodes = self.constraints.n_nodes
+        if n_nodes != self.n:
+            raise ValueError(f"constraints are over {n_nodes} nodes, the "
+                             f"instance has {self.n}")
         states = np.asarray(self.initial_states, dtype=float)
         if states.shape != (self.n, STATE_DIM):
             raise ValueError(f"states must be ({self.n}, {STATE_DIM})")

@@ -116,7 +116,10 @@ class SolveResult:
     "tolerance" (it reached DEEP_TOLERANCE), "stagnation" (the search
     stopped gaining), "fixed_point" (a fixed-weight run reached a state its
     sweeps no longer move; its last trace row is the sweep that found it)
-    or "diverged".
+    or "diverged". A divergence ends the run at once; otherwise the run
+    stops at the end of the first generation at which any of the others
+    holds, and names the first that holds in the order tolerance,
+    fixed_point, budget, stagnation.
     """
 
     final_states: np.ndarray
@@ -191,7 +194,6 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     ref_w = ref.as_array()
     no_states = np.empty((0,) + states.shape)
     adopted = [ProjectionTrace(start_states=no_states)]  # joined at the end
-    steps = 0
     sweeps_evaluated = 0
     events = 0
     guard_triggers = 0
@@ -213,14 +215,14 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         # the start check and then from each call's final_grad
         grad = start.grad
     del start
-    fixed_point = False
-    while (steps < budget and best_energy >= DEEP_TOLERANCE
-           and stall < STALL_GENERATIONS and not fixed_point):
+    stopped_by = "tolerance" if best_energy < DEEP_TOLERANCE else None
+    while stopped_by is None:
         if search:
             thetas = cma_ask(st, rng)
             params = [ParamEncoding.decode(raw) for raw in thetas]
         batch = np.broadcast_to(states, (len(params),) + states.shape)
-        call = replace(cfg, t_max=min(cfg.t_max, budget - steps))
+        call = replace(cfg, t_max=min(cfg.t_max,
+                                      budget - len(adopted_params)))
         outs, traces = project_states(
             batch, cs, np.array([lam for lam, _ in params]),
             np.array([beta for _, beta in params]), call,
@@ -238,29 +240,22 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         trace = traces[best_i]
         trace.l_total = C.weighted_total(ref_w, trace.l_data, trace.l_phys,
                                          trace.l_logic)
-        lambdas, beta = params[best_i]
         # one row's gradient, so that no batch outlives its call
         grad, trace.final_grad = trace.final_grad, None
         if search:
             if trace.failure is not None:
-                failure = "all candidates diverged"
+                failure, stopped_by = "all candidates diverged", "diverged"
                 break
             trace.grad_max, trace.grad_mean = grad_stats(
                 trace.start_states, cs, ref, cfg.norm)
-        else:
-            # a call cut short without a failure ended at a fixed point (or
-            # at tau, below DEEP_TOLERANCE): every later call would repeat it
-            fixed_point = (trace.failure is None
-                           and trace.iterations_run < call.t_max)
         # copied only when recording: a view would keep the batch alive
         trace.start_states = (trace.start_states.copy() if record_states
                               else no_states)
         adopted.append(trace)
-        adopted_params += [(lambdas, beta)] * trace.iterations_run
-        steps += trace.iterations_run
+        adopted_params += [params[best_i]] * trace.iterations_run
         if trace.failure is not None:
             # the fixed run keeps the rows swept before it failed
-            failure = trace.failure
+            failure, stopped_by = trace.failure, "diverged"
             break
         states = outs[best_i].copy()
         del outs, traces, trace  # free the batch before the next one
@@ -283,27 +278,28 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         if e_curr < best_energy:
             best_energy = e_curr
             best_states = states.copy()
+        # a fixed-weight call cut short ended at a fixed point (or at tau,
+        # below DEEP_TOLERANCE): every later call would repeat it
+        stopped_by = (
+            "tolerance" if best_energy < DEEP_TOLERANCE else
+            "fixed_point" if (not search and adopted[-1].iterations_run
+                              < call.t_max) else
+            "budget" if len(adopted_params) >= budget else
+            "stagnation" if stall >= STALL_GENERATIONS else None)
 
     trace = ProjectionTrace(
         **{f: np.concatenate([getattr(tr, f) for tr in adopted])
            for f in ROW_FIELDS + ("start_states",)},
         sweeps_evaluated=sweeps_evaluated, failure=failure)
-    final_states = best_states
     final_energy = float(best_energy)
-    # a fixed-weight run never stalls: its loop ends only at the budget,
-    # the tolerance, a fixed point or a divergence
-    stopped_by = ("diverged" if failure is not None else
-                  "tolerance" if best_energy < DEEP_TOLERANCE else
-                  "fixed_point" if fixed_point else
-                  "budget" if steps >= budget else "stagnation")
     return SolveResult(
-        final_states=final_states,
+        final_states=best_states,
         final_energy=final_energy,
         generations=st.generation if search else 0,
         wall_time=time.perf_counter() - t0,
         success=failure is None and final_energy < C.SUCCESS_THRESHOLD,
         trace=trace,
-        violations=C.violation_stats(final_states, cs),
+        violations=C.violation_stats(best_states, cs),
         stopped_by=stopped_by,
         energy_increase_events=events,
         guard_triggers=guard_triggers,

@@ -16,7 +16,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +109,21 @@ class StudySpec:
 
     @classmethod
     def from_json_dict(cls, d):
+        """Spec from its JSON object; raises ValueError when the value is
+        not an object, names a key that is not a field or lacks the study,
+        or gives sizes or variants as anything but an array."""
+        if not isinstance(d, dict):
+            raise ValueError("a study spec must be a JSON object")
+        names = [f.name for f in fields(cls)]
+        for key in d:
+            if key not in names:
+                raise ValueError(f"unknown spec key {key!r}; "
+                                 f"choose from {names}")
+        for key in ("sizes", "variants"):
+            if key in d and not isinstance(d[key], list):
+                raise ValueError(f"{key} must be an array")
+        if "study" not in d:
+            raise ValueError("a study spec needs a study")
         return cls(**d)
 
     def save(self, path):

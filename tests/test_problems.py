@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from topocsp.constraints import ConstraintSet
 from topocsp.errors import InfeasibleInitError
 from topocsp.problems import (ProblemInstance, generate_instance,
                               physics_aware_init)
@@ -167,3 +168,11 @@ def test_instance_rejects_non_finite_states():
     d["states"][1][0] = float("inf")
     with pytest.raises(ValueError, match="finite"):
         ProblemInstance.from_json_dict(d)
+
+
+def test_instance_rejects_constraints_over_other_nodes():
+    # such an instance used to be accepted, and its solve failed inside
+    # the loss on the shape of its states
+    with pytest.raises(ValueError, match="over 5 nodes, the instance has 3"):
+        ProblemInstance(n=3, initial_states=np.zeros((3, 64)),
+                        constraints=ConstraintSet.build(5))

@@ -7,7 +7,7 @@ import pytest
 from topocsp import constraints as C
 from topocsp import solver
 from topocsp.cmaes import (STALL_GENERATIONS, STALL_REL, ParamEncoding,
-                            cma_init)
+                            cma_init, stall_count)
 from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, ConstraintSet,
                                  LossWeights, total_energy, weighted_total)
 from topocsp.errors import DivergenceError
@@ -490,6 +490,66 @@ def test_stopped_by_names_the_stop():
         stops = {solve(generate_instance(6, seed=s), variant(name), budget=b,
                        seed=s).stopped_by for s in range(4) for b in (30, 500)}
         assert stops == {"budget", "tolerance"}
+
+
+def force_stops(monkeypatch, tolerance=None, stall_at=None):
+    """Set solver.DEEP_TOLERANCE to tolerance, and make the stall count
+    reach STALL_GENERATIONS at generation stall_at (counted from 1)."""
+    if tolerance is not None:
+        monkeypatch.setattr(solver, "DEEP_TOLERANCE", tolerance)
+    if stall_at is not None:
+        calls = []
+
+        def stalled(stall, best, value):
+            calls.append(1)
+            return (STALL_GENERATIONS if len(calls) == stall_at
+                    else stall_count(stall, best, value))
+        monkeypatch.setattr(solver, "stall_count", stalled)
+
+
+@pytest.mark.parametrize("vc,seed,budget,alone,tolerance,stall,wins", [
+    (dict(ablation_configs())["+curvature"], 4, 500, "fixed_point", True,
+     False, "tolerance"),
+    (variant("baseline"), 0, 30, "budget", True, False, "tolerance"),
+    (variant("v2"), 0, 500, None, True, True, "tolerance"),
+    (variant("v2"), 0, 20, "budget", False, True, "budget"),
+], ids=["tolerance+fixed_point", "tolerance+budget", "tolerance+stagnation",
+        "budget+stagnation"])
+def test_first_stop_in_order_wins(monkeypatch, vc, seed, budget, alone,
+                                  tolerance, stall, wins):
+    # the pairs of stops that can hold at one generation: a call cut short
+    # at a fixed point leaves budget unspent, and a fixed-weight run never
+    # stalls. The tolerance is made to hold first at the generation that
+    # reached the final energy, by setting DEEP_TOLERANCE just above it;
+    # otherwise that generation is the last one, where the run stops alone
+    inst = generate_instance(6, seed)
+    res = solve(inst, vc, budget=budget, seed=seed)
+    energies = res.adopted_energies
+    at = energies.index(res.final_energy) + 1 if tolerance else len(energies)
+    if alone is not None:
+        assert res.stopped_by == alone and at == len(energies)
+    force_stops(monkeypatch,
+                np.nextafter(res.final_energy, np.inf) if tolerance else None,
+                at if stall else None)
+    both = solve(inst, vc, budget=budget, seed=seed)
+    assert len(both.adopted_energies) == at
+    assert both.adopted_energies == energies[:at]
+    assert both.stopped_by == wins
+
+
+@pytest.mark.parametrize("vc", [vc for _, vc in ablation_configs()],
+                         ids=[label for label, _ in ablation_configs()])
+def test_off_position_coordinates_never_move(vc):
+    # the generator copies each anchored node's off-position components
+    # into its reference, and no other constraint reads them, so no sweep
+    # moves coordinates 3-63 of a generated instance
+    for n in (6, 20):
+        for i in range(2):
+            seed = derive_seed(42, vc.canonical_name, n, i)
+            inst = generate_instance(n, seed)
+            res = solve(inst, vc, seed=seed)
+            assert (res.final_states[:, 3:].tobytes()
+                    == inst.initial_states[:, 3:].tobytes())
 
 
 @pytest.mark.parametrize("name,digest", [

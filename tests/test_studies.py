@@ -150,6 +150,24 @@ def test_scaling_spec_rejects_a_second_variant(tmp_path):
         StudySpec.load(path)
 
 
+@pytest.mark.parametrize("value,match", [
+    (["seeds"], "must be a JSON object"),
+    ({"study": "seeds", "seeds": 3}, "unknown spec key 'seeds'"),
+    ({"study": "scaling", "sizes": "48"}, "sizes must be an array"),
+    ({"study": "seeds", "sizes": 6}, "sizes must be an array"),
+    ({"study": "seeds", "variants": "v2"}, "variants must be an array"),
+    ({"sizes": [6]}, "needs a study")], ids=[
+        "list", "unknown-key", "sizes-string", "sizes-number",
+        "variants-string", "no-study"])
+def test_spec_load_rejects_a_malformed_spec(tmp_path, value, match):
+    # the string "48" used to load as sizes (4, 8), "v2" as variants "v"
+    # and "2", and the other shapes raised TypeError
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(value))
+    with pytest.raises(ValueError, match=match):
+        StudySpec.load(path)
+
+
 def test_ablation_spec_takes_no_variants(tmp_path):
     # the ablation study runs its own ten configurations, so a variant list
     # would be read by nothing; an empty one names nothing

@@ -63,6 +63,16 @@ def test_ab_solve_names_a_reported_field_that_differs():
         "stopped_by"]
 
 
+def test_ab_solve_runs_an_a_a_pair():
+    # one checkout given as both sides: every pair is the same solve, and
+    # the run hands back one pair per job of one round of the panel
+    pairs, compared = load_tool("ab_solve").run(ROOT, ROOT, "v2-n6", 1, 7)
+    assert len(pairs) == 7
+    assert {p["variant"] for p in pairs} == {"v2"}
+    assert all(p["base"] > 0 and p["change"] > 0 for p in pairs)
+    assert {"final_states", "adopted_params"} <= set(compared)
+
+
 def test_study_digest_records_every_column_ab_solve_compares():
     # the two A/B tools compare one set of names: a digest record holds
     # each of ab_solve's columns, arrays as digests and the rest as they are

@@ -18,6 +18,10 @@ failure, success, event and guard counts). The script exits 1 at the first
 pair that does not, naming the fields that differ. tools/study_digest.py
 records each solve from the same columns.
 
+An A/A run gives one checkout as both BASE and CHANGE; its ratios show
+how far the timing moves with no change in the code, the floor that a
+claimed gain must clear at the same workload and seed.
+
 Both versions solve the same panel, built once, in every round, as
 perfbench does. Writes BENCH_<workload>.json (or --out): per variant the
 median over its pairs of the change/base time ratio and the summed times,
