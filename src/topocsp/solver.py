@@ -90,7 +90,7 @@ def variant(name):
     """Look up a preset variant by name."""
     try:
         return PRESETS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise ValueError(f"unknown variant {name!r}; "
                          f"choose from {sorted(PRESETS)}") from None
 
@@ -341,8 +341,8 @@ def update_map_spectrum(res, cs, vc):
     probes; (0.0, 0.0) when nothing was recorded.
     """
     cfg = _projection_config(vc)
-    # the probe batches' scatter cells are built once here and not kept by cs
-    cs = cs._one_off()
+    # a fresh set builds the probe batches' scatter cells; cs keeps none
+    cs = replace(cs)
     lam_max = 0.0
     cond = 0.0
     recorded = res.trace.start_states

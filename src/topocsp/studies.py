@@ -16,6 +16,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -60,7 +61,15 @@ def _run_settings(sizes, n_seeds, budget, master_seed):
     sizes = tuple(whole(n, "size", least=2) for n in sizes)
     if not sizes:
         raise ValueError("sizes must be non-empty")
+    _no_repeat(sizes, "size")
     return sizes, n_seeds, budget, whole(master_seed, "master_seed")
+
+
+def _no_repeat(values, what):
+    """ValueError naming the first value that values holds twice."""
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise ValueError(f"{what} {v!r} is listed twice")
 
 
 @dataclass
@@ -74,7 +83,7 @@ class StudySpec:
     master_seed: int = DEFAULT_MASTER_SEED
 
     def __post_init__(self):
-        if self.study not in STUDIES:
+        if not isinstance(self.study, str) or self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; "
                              f"choose from {sorted(STUDIES)}")
         scaling = self.study == "scaling"
@@ -91,6 +100,7 @@ class StudySpec:
             raise ValueError("an ablation study takes no variants")
         for name in self.variants:
             variant(name)  # raises ValueError for an unknown name
+        _no_repeat(self.variants, "variant")
         if self.study != "ablation" and not self.variants:
             raise ValueError(f"a {self.study} study needs a variant")
         if not scaling and len(self.sizes) > 1:
@@ -98,6 +108,10 @@ class StudySpec:
         if scaling and len(self.variants) > 1:
             raise ValueError(f"a scaling study runs one variant, got "
                              f"{list(self.variants)}")
+        if isinstance(self.out_dir, os.PathLike):
+            self.out_dir = os.fspath(self.out_dir)
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a path, got {self.out_dir!r}")
 
     def to_json_dict(self):
         d = asdict(self)
@@ -168,6 +182,12 @@ def _json_safe(value):
     if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
+
+
+def _make_out_dir(spec):
+    """Make the spec's out dir, so that a path that cannot be one fails
+    before the study's first solve."""
+    Path(spec.out_dir).mkdir(parents=True, exist_ok=True)
 
 
 def _write(spec, name, header, rows, summary, failures):
@@ -243,6 +263,7 @@ def _summary(runs):
 
 def run_seed_study(spec):
     """Per-(variant, seed) rows at a single size, plus per-variant summary."""
+    _make_out_dir(spec)
     n = spec.sizes[0]
     rows = []
     summary = {}
@@ -259,17 +280,19 @@ def run_seed_study(spec):
 
 
 def fit_time_exponent(sizes, times):
-    """Least-squares slope of log(time) against log(n)."""
+    """Least-squares slope of log(time) against log(n); NaN unless two
+    distinct sizes have finite, positive times."""
     sizes = np.asarray(sizes, dtype=float)
     times = np.asarray(times, dtype=float)
     keep = (times > 0) & np.isfinite(times)
-    if keep.sum() < 2:
+    if np.unique(sizes[keep]).size < 2:
         return float("nan")
     return float(np.polyfit(np.log(sizes[keep]), np.log(times[keep]), 1)[0])
 
 
 def run_scaling_study(spec):
     """Per-size aggregates for the spec's one variant."""
+    _make_out_dir(spec)
     name = spec.variants[0]
     vc = variant(name)
     rows = []
@@ -326,6 +349,7 @@ def run_ablation(spec):
     telescopes to baseline mean - full mean) and full-row mean minus this
     row's mean for the removal rows (negative = removing it hurt).
     """
+    _make_out_dir(spec)
     n = spec.sizes[0]
     rows = []
     failures = []

@@ -256,6 +256,18 @@ def test_bench_rejects_a_size_option_the_study_does_not_read(
     assert not out.exists()
 
 
+def test_bench_rejects_a_repeated_size(tmp_path, capsys):
+    # 3,3 used to write two rows for one size and fit a time exponent to it
+    out = tmp_path / "out"
+    code, stdout, err = run_main(["bench", "scaling", "--out", str(out),
+                                  "--sizes", "3,3", "--seeds", "1",
+                                  "--budget", "5"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "size 3 is listed twice" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("study", ["seeds", "scaling", "ablation"])
 def test_bench_leaves_every_default_to_the_spec(tmp_path, capsys,
                                                 monkeypatch, study):

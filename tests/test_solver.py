@@ -337,6 +337,21 @@ def test_update_map_probes_keep_no_cells():
     assert [a.shape for a in cs._cell_table] == kept
 
 
+def test_update_map_spectrum_reads_no_cells_of_the_set():
+    # a set that served a recorded solve, its cell table built, gives the
+    # spectrum bits of a fresh set of the same instance
+    inst = generate_instance(6, 3)
+    vc = variant("v2")
+    res = solve(inst, vc, seed=3, record_states=True)
+    served = inst.constraints
+    assert served._cell_table is not None
+    fresh = generate_instance(6, 3).constraints
+    assert fresh._cell_table is None
+    got = np.array(update_map_spectrum(res, served, vc))
+    assert got.tobytes() == np.array(
+        update_map_spectrum(res, fresh, vc)).tobytes()
+
+
 def test_solve_rejects_bad_budget():
     inst = generate_instance(3, seed=0)
     with pytest.raises(ValueError):

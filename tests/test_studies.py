@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +169,54 @@ def test_spec_load_rejects_a_malformed_spec(tmp_path, value, match):
         StudySpec.load(path)
 
 
+@pytest.mark.parametrize("value,match", [
+    ({"study": ["seeds"]}, r"unknown study \['seeds'\]"),
+    ({"study": "seeds", "out_dir": 5}, "out_dir must be a path, got 5"),
+    ({"study": "seeds", "variants": ["v2", "v1", "v2"]},
+     "variant 'v2' is listed twice"),
+    ({"study": "scaling", "sizes": [3, 3]}, "size 3 is listed twice"),
+    ({"study": "seeds", "variants": [["v2"]]},
+     r"unknown variant \['v2'\]")], ids=[
+        "study-list", "out-dir-number", "repeated-variant", "repeated-size",
+        "variant-list"])
+def test_spec_rejects_a_bad_name_out_dir_or_repeated_entry(value, match):
+    # a list study or variant raised TypeError, a number out_dir failed
+    # only after every run was solved, a repeated variant ran each run
+    # twice, and a repeated size fitted a time exponent to one size
+    with pytest.raises(ValueError, match=match):
+        StudySpec.from_json_dict(value)
+
+
+def test_spec_takes_a_path_out_dir(tmp_path):
+    # a Path used to be solved and written up to spec.json, where json.dump
+    # raised and left the file cut short
+    out = tmp_path / "o3"
+    spec = StudySpec(study="seeds", sizes=(3,), n_seeds=1, budget=5,
+                     variants=("baseline",), out_dir=out)
+    assert spec.out_dir == str(out)
+    run_seed_study(spec)
+    assert StudySpec.load(out / "spec.json") == spec
+
+
+@pytest.mark.parametrize("study", sorted(studies.STUDIES))
+def test_study_makes_its_out_dir_before_any_run(tmp_path, monkeypatch,
+                                                 study):
+    # an out dir that is a file used to fail only once every run was solved
+    ran = []
+
+    def record(*args, **kwargs):
+        ran.append(args)
+        raise RuntimeError("not solved")
+    monkeypatch.setattr(studies, "solve", record)
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    spec = StudySpec(study=study, n_seeds=1, budget=5, out_dir=str(taken))
+    with pytest.raises(FileExistsError):
+        studies.STUDIES[study](spec)
+    assert ran == []
+    assert taken.read_text() == "kept\n"
+
+
 def test_ablation_spec_takes_no_variants(tmp_path):
     # the ablation study runs its own ten configurations, so a variant list
     # would be read by nothing; an empty one names nothing
@@ -276,6 +325,17 @@ def test_fit_time_exponent_recovers_powers():
     for p in (1.0, 1.7, 2.0):
         times = 0.01 * sizes.astype(float) ** p
         assert fit_time_exponent(sizes, times) == pytest.approx(p, abs=1e-9)
+
+
+def test_fit_time_exponent_needs_two_distinct_sizes():
+    # one size given twice used to fit a slope, with a RankWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isnan(fit_time_exponent([3, 3], [0.01, 0.02]))
+        # a size whose time is not finite and positive does not count
+        for bad in (0.0, float("nan"), float("inf")):
+            assert np.isnan(fit_time_exponent([2, 3, 3], [bad, 0.01, 0.02]))
+        assert np.isfinite(fit_time_exponent([2, 3, 3], [0.01, 0.02, 0.03]))
 
 
 def test_ablation_configs_layout():

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
@@ -104,3 +105,31 @@ def test_sweep_cost_prints_both_checkouts(capsys, monkeypatch):
     assert out.count("| `v1` |") == 2
     assert out.count("(8, 20, 64):") == 2
     assert "results bitwise equal on every case" in out
+
+
+def test_study_digest_compare_names_a_record_that_differs(tmp_path, capsys):
+    # equal records pass whatever their times; one float one ulp off fails
+    # the file and is named with its record and field
+    compare = load_tool("study_digest").main
+    solve = {"final_energy": 0.25, "steps": 7, "final_states": "ab12",
+             "wall_time": 1.5}
+    records = {"seeds/v2/n=6/seed=1": solve,
+               "seeds/report": {"rows": [{"e_final": 0.25}],
+                                "summary": {"v2": {"mean_energy": 0.25}},
+                                "seconds": 3.0}}
+
+    def write(name, recs):
+        path = tmp_path / name
+        path.write_text(json.dumps({"records": recs}))
+        return str(path)
+    a = write("a.json", records)
+    b = write("b.json", {**records, "seeds/v2/n=6/seed=1": {
+        **solve, "wall_time": 2.5}})
+    assert compare(["compare", a, b]) == 0
+    assert "2 bitwise equal, 0 differ" in capsys.readouterr().out
+    c = write("c.json", {**records, "seeds/v2/n=6/seed=1": {
+        **solve, "final_energy": float(np.nextafter(0.25, 1.0))}})
+    assert compare(["compare", a, c]) == 1
+    out = capsys.readouterr().out
+    assert "1 bitwise equal, 1 differ" in out
+    assert "seeds/v2/n=6/seed=1: final_energy" in out
