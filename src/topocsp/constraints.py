@@ -19,6 +19,7 @@ bit for bit, as the call on that row alone.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -198,16 +199,21 @@ class ConstraintSet:
 
 def whole(x, what, error=ValueError, least=None):
     """x as an int; raises error (a ValueError type) unless x is a whole
-    number, a boolean not being one, and at least `least` when given."""
-    try:
-        v = float("nan") if isinstance(x, (bool, np.bool_)) else float(x)
-    except (TypeError, ValueError):
-        v = float("nan")
-    if not v.is_integer():
-        raise error(f"{what} must be a whole number, got {x!r}")
+    number, a boolean not being one, and at least `least` when given. An
+    integer is taken exactly, not rounded through a float."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        v = int(x)
+    else:
+        try:
+            v = float("nan") if isinstance(x, (bool, np.bool_)) else float(x)
+        except (TypeError, ValueError):
+            v = float("nan")
+        if not v.is_integer():
+            raise error(f"{what} must be a whole number, got {x!r}")
+        v = int(v)
     if least is not None and v < least:
         raise error(f"{what} must be >= {least}")
-    return int(v)
+    return v
 
 
 def _check_ranges(n, id_arrays, axes):

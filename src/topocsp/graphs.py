@@ -96,6 +96,12 @@ class SemanticGraph:
         return np.add.reduce(self.weights > 0, axis=-1)
 
 
+def check_finite(states):
+    """Raises ValueError unless every entry of the states is finite."""
+    if not np.logical_and.reduce(np.isfinite(states), axis=None):
+        raise ValueError("states must be finite")
+
+
 def build_graph(states):
     """The complete SemanticGraph over one (n, 64) state array, or over a
     batch (P, n, 64) of them. Its degrees are fixed at n - 1, so its
@@ -106,8 +112,7 @@ def build_graph(states):
     n = states.shape[-2]
     if n < 1:
         raise ValueError("need at least one state")
-    if not np.logical_and.reduce(np.isfinite(states), axis=None):
-        raise ValueError("states must be finite")
+    check_finite(states)
     graph = SemanticGraph(weights=pairwise_weights(states))
     if n > 1:
         # every off-diagonal weight is at least WEIGHT_FLOOR > 0

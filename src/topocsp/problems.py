@@ -18,7 +18,7 @@ import numpy as np
 
 from .constraints import POSITION_DIM, ConstraintSet
 from .errors import ConstraintError, InfeasibleInitError
-from .graphs import STATE_DIM
+from .graphs import STATE_DIM, check_finite
 
 DEFAULT_MIN_SEP = 0.1
 ANCHOR_FRACTION = 0.5
@@ -27,20 +27,20 @@ OFF_SCALE = 0.1
 
 @dataclass
 class ProblemInstance:
-    n: int
+    """Start states, a float64 (n, 64) array, and their constraint set."""
+
     initial_states: np.ndarray
     constraints: ConstraintSet
 
     def __post_init__(self):
-        n_nodes = self.constraints.n_nodes
-        if n_nodes != self.n:
-            raise ValueError(f"constraints are over {n_nodes} nodes, the "
-                             f"instance has {self.n}")
-        states = np.asarray(self.initial_states, dtype=float)
-        if states.shape != (self.n, STATE_DIM):
+        self.initial_states = np.asarray(self.initial_states, dtype=float)
+        if self.initial_states.shape != (self.n, STATE_DIM):
             raise ValueError(f"states must be ({self.n}, {STATE_DIM})")
-        if not np.all(np.isfinite(states)):
-            raise ValueError("states must be finite")
+        check_finite(self.initial_states)
+
+    @property
+    def n(self):
+        return self.constraints.n_nodes
 
     def to_json_dict(self):
         cs = self.constraints
@@ -75,13 +75,10 @@ class ProblemInstance:
                    "arrays") for key in ("separations", "orderings"))):
             if not ok:
                 raise ConstraintError(f"{key} must be {what}")
-        cs = ConstraintSet.build(
+        return cls(d["states"], ConstraintSet.build(
             d["n"], anchors=anchors,
             separations=d.get("separations", []),
-            orderings=d.get("orderings", []),
-        )
-        return cls(n=cs.n_nodes, constraints=cs,
-                   initial_states=np.asarray(d["states"], dtype=float))
+            orderings=d.get("orderings", [])))
 
     def save(self, path):
         with open(path, "w") as f:
@@ -89,11 +86,7 @@ class ProblemInstance:
 
     @classmethod
     def load(cls, path):
-        """Instance from a JSON file; a key repeated in any object raises
-        ConstraintError, since json would keep only its last value."""
-        with open(path) as f:
-            return cls.from_json_dict(
-                json.load(f, object_pairs_hook=_unique_keys))
+        return cls.from_json_dict(read_json(path))
 
     @property
     def min_sep(self):
@@ -102,8 +95,15 @@ class ProblemInstance:
         return DEFAULT_MIN_SEP
 
 
+def read_json(path):
+    """JSON of an instance or spec file, each object built by _unique_keys."""
+    with open(path) as f:
+        return json.load(f, object_pairs_hook=_unique_keys)
+
+
 def _unique_keys(pairs):
-    """A JSON object's dict; raises ConstraintError on a repeated key."""
+    """A JSON object's dict; raises ConstraintError on a repeated key,
+    whose first value json would drop."""
     d = {}
     for key, value in pairs:
         if key in d:
@@ -171,4 +171,4 @@ def generate_instance(n, seed):
     orderings = [(i, i + 1, 0, 0.0) for i in range(n - 1)]
     cs = ConstraintSet.build(n, anchors=anchors, separations=separations,
                              orderings=orderings)
-    return ProblemInstance(n=n, initial_states=states, constraints=cs)
+    return ProblemInstance(initial_states=states, constraints=cs)

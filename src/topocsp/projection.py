@@ -57,7 +57,7 @@ from . import constraints as C
 from .curvature import node_step_scales
 # delta_step is unused here; perfbench/tracer.py wraps it under this name
 from .delta import DEFAULT_CLIP, DEFAULT_EPSILON, delta_step  # noqa: F401
-from .graphs import STATE_DIM, build_graph
+from .graphs import STATE_DIM, build_graph, check_finite
 
 ROW_FIELDS = ("l_total", "l_data", "l_phys", "l_logic", "grad_max",
               "grad_mean")
@@ -211,8 +211,9 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     one LossWeights and beta (P,) or one number, returns (final states
     (P, n, 64), list of P traces). A row whose energy or line-search step
     goes non-finite gets NaN final states and a trace whose failure says
-    why, and the other rows go on; the loop never raises for it. One array
-    and a batch of one row both run without a batch axis.
+    why, and the other rows go on; the loop never raises for it. Start
+    states that are not all finite raise ValueError, before any sweep. One
+    array and a batch of one row both run without a batch axis.
 
     grad, shaped like states, is the loss gradient at the start states
     under the weights, as a previous call's final_grad gives it; it is
@@ -220,6 +221,7 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     the right one the run is the same, bit for bit, as without it.
     """
     s = np.array(states, dtype=float, order="C")
+    check_finite(s)
     rows = s[None] if s.ndim == 2 else s  # the states as a batch
     p_count = len(rows)
     w = C.weight_rows(weights, (p_count,))

@@ -37,6 +37,7 @@ from . import constraints as C
 from .cmaes import (DEFAULT_SIGMA0, STALL_GENERATIONS, ParamEncoding,
                     cma_ask, cma_init, cma_tell, stall_count)
 from .errors import DivergenceError, InfeasibleInitError
+from .graphs import check_finite
 from .problems import physics_aware_init
 from .projection import (ROW_FIELDS, ProjectionConfig, ProjectionTrace,
                          grad_stats, project_states, sweep_once)
@@ -167,17 +168,20 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
 
     With physics init on, the positions start on the jittered grid of
     problems.physics_aware_init, or where the instance puts them when that
-    grid cannot keep its nodes min_sep apart. Raises ValueError when the
-    budget is not a whole number of at least 1 or the start energy is not
+    grid cannot keep its nodes min_sep apart. Raises ValueError, whatever
+    the variant, when the budget is not a whole number of at least 1, the
+    seed not one of at least 0, a start state or the start energy not
     finite.
     """
     budget = C.whole(budget, "budget", least=1)
+    seed = C.whole(seed, "seed", least=0)
     t0 = time.perf_counter()
     cs = inst.constraints
     ref = C.DEFAULT_WEIGHTS
     cfg = _projection_config(vc)
 
     states = np.array(inst.initial_states, dtype=float, copy=True)
+    check_finite(states)  # before the grid can overwrite a bad position
     if vc.use_physics_init:
         try:
             states[:, :C.POSITION_DIM] = physics_aware_init(inst.n, seed,

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .constraints import whole
-from .problems import generate_instance
+from .problems import generate_instance, read_json
 from .projection import ROW_FIELDS
 from .solver import (DEFAULT_BUDGET, VARIANT_FLAGS, SolveResult,
                      VariantConfig, solve, update_map_spectrum, variant)
@@ -86,6 +86,9 @@ class StudySpec:
         if not isinstance(self.study, str) or self.study not in STUDIES:
             raise ValueError(f"unknown study {self.study!r}; "
                              f"choose from {sorted(STUDIES)}")
+        for key in ("sizes", "variants"):
+            if not isinstance(getattr(self, key), (list, tuple, type(None))):
+                raise ValueError(f"{key} must be an array")
         scaling = self.study == "scaling"
         if self.sizes is None:
             self.sizes = DEFAULT_SIZES if scaling else (DEFAULT_N,)
@@ -124,8 +127,7 @@ class StudySpec:
     @classmethod
     def from_json_dict(cls, d):
         """Spec from its JSON object; raises ValueError when the value is
-        not an object, names a key that is not a field or lacks the study,
-        or gives sizes or variants as anything but an array."""
+        not an object, names a key that is not a field or lacks the study."""
         if not isinstance(d, dict):
             raise ValueError("a study spec must be a JSON object")
         names = [f.name for f in fields(cls)]
@@ -133,9 +135,6 @@ class StudySpec:
             if key not in names:
                 raise ValueError(f"unknown spec key {key!r}; "
                                  f"choose from {names}")
-        for key in ("sizes", "variants"):
-            if key in d and not isinstance(d[key], list):
-                raise ValueError(f"{key} must be an array")
         if "study" not in d:
             raise ValueError("a study spec needs a study")
         return cls(**d)
@@ -146,8 +145,7 @@ class StudySpec:
 
     @classmethod
     def load(cls, path):
-        with open(path) as f:
-            return cls.from_json_dict(json.load(f))
+        return cls.from_json_dict(read_json(path))
 
 
 @dataclass

@@ -8,7 +8,7 @@ import pytest
 
 from topocsp.constraints import (DEFAULT_WEIGHTS, MSE, SSE, ConstraintSet,
                                  LossWeights, loss_components, loss_gradient,
-                                 total_energy, violation_stats)
+                                 total_energy, violation_stats, whole)
 from topocsp.errors import ConstraintError
 
 from conftest import (brute_force_energy, duplicate_constraints, fd_gradient,
@@ -225,6 +225,20 @@ def test_constraint_set_validation():
     with pytest.raises(ConstraintError):
         ConstraintSet.build(n_nodes=2, anchors={}, separations=[],
                             orderings=[(0, 1, 4, 0.1)])
+
+
+def test_whole_takes_an_integer_exactly():
+    # an integer used to pass through a float, which rounds past 2**53:
+    # 2**62 + 1 came back as 2**62
+    for x in (2**53 + 1, 2**62 + 1, np.int64(2**62 + 1), 10**30 + 1):
+        v = whole(x, "x")
+        assert v == int(x) and type(v) is int
+    assert whole(42.0, "x") == whole(np.float64(42), "x") == 42
+    for x in (True, np.True_, 2.5):
+        with pytest.raises(ValueError, match="x must be a whole number"):
+            whole(x, "x")
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        whole(-(2**62 + 1), "x", least=0)
 
 
 @pytest.mark.parametrize("key", [1.5, True, np.True_, "1.5", float("inf")],

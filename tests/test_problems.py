@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -163,7 +164,7 @@ def test_instance_rejects_non_finite_states():
     bad = inst.initial_states.copy()
     bad[2, 5] = np.nan
     with pytest.raises(ValueError, match="finite"):
-        ProblemInstance(n=4, initial_states=bad, constraints=inst.constraints)
+        ProblemInstance(initial_states=bad, constraints=inst.constraints)
     d = inst.to_json_dict()
     d["states"][1][0] = float("inf")
     with pytest.raises(ValueError, match="finite"):
@@ -173,6 +174,28 @@ def test_instance_rejects_non_finite_states():
 def test_instance_rejects_constraints_over_other_nodes():
     # such an instance used to be accepted, and its solve failed inside
     # the loss on the shape of its states
-    with pytest.raises(ValueError, match="over 5 nodes, the instance has 3"):
-        ProblemInstance(n=3, initial_states=np.zeros((3, 64)),
+    with pytest.raises(ValueError, match=r"states must be \(5, 64\)"):
+        ProblemInstance(initial_states=np.zeros((3, 64)),
                         constraints=ConstraintSet.build(5))
+
+
+def test_instance_is_its_states_and_its_constraint_set():
+    # n is read from the constraint set, so the two cannot disagree
+    assert [f.name for f in dataclasses.fields(ProblemInstance)] == [
+        "initial_states", "constraints"]
+    inst = generate_instance(5, 2)
+    assert inst.n == inst.constraints.n_nodes == 5
+
+
+def test_instance_from_nested_lists_keeps_its_checked_array(tmp_path):
+    # the instance used to keep the lists, and to_json_dict and save
+    # raised AttributeError on them
+    inst = generate_instance(3, 4)
+    rows = inst.initial_states.tolist()
+    built = ProblemInstance(initial_states=rows, constraints=inst.constraints)
+    assert built.initial_states.dtype == np.float64
+    assert built.initial_states.tobytes() == inst.initial_states.tobytes()
+    assert built.to_json_dict() == inst.to_json_dict()
+    built.save(tmp_path / "inst.json")
+    loaded = ProblemInstance.load(tmp_path / "inst.json")
+    assert loaded.initial_states.tobytes() == inst.initial_states.tobytes()

@@ -214,6 +214,25 @@ def test_nan_gradient_drops_the_candidate():
         assert np.all(np.isnan(out))
 
 
+@pytest.mark.parametrize("cell", [(0, 0), (4, 10)],
+                         ids=["position", "unconstrained"])
+def test_non_finite_start_states_rejected_with_every_config(cell):
+    # only the graph used to reject them, mid-run with curvature on; with
+    # it off, a NaN in a position gave a failure trace, and one where no
+    # constraint reads it a clean trace over NaN states
+    inst = generate_instance(5, 1)
+    states = inst.initial_states.copy()
+    states[cell] = np.nan
+    for use_curvature in (True, False):
+        for use_delta in (True, False):
+            cfg = ProjectionConfig(use_delta=use_delta,
+                                   use_curvature=use_curvature)
+            for rows in (states, np.stack([inst.initial_states, states])):
+                with pytest.raises(ValueError, match="states must be finite"):
+                    project_states(rows, inst.constraints, DEFAULT_WEIGHTS,
+                                   0.8, cfg)
+
+
 def test_grad_clip_limits_reported_norms(rng):
     # with clipping at 1 the applied plain step per node is bounded by
     # alpha * 1; reported grad stats are pre-clip, so they can exceed the cap

@@ -74,7 +74,7 @@ def test_already_satisfied_fast_exit():
     cs = ConstraintSet.build(n_nodes=2, anchors={0: states[0].copy()},
                              separations=[(0, 1, 0.1)],
                              orderings=[(0, 1, 2, 0.5)])
-    inst = ProblemInstance(n=2, initial_states=states, constraints=cs)
+    inst = ProblemInstance(initial_states=states, constraints=cs)
     for name in PRESETS:
         res = solve(inst, variant(name), budget=100, seed=0)
         assert res.success
@@ -362,6 +362,46 @@ def test_solve_rejects_bad_budget():
             solve(inst, variant("baseline"), budget=budget, seed=0)
 
 
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_solve_rejects_a_bad_seed_with_every_preset(name):
+    # baseline and v1 draw nothing, so they used to run any seed; v2 raised
+    # TypeError or ValueError from numpy, and True ran as seed 1 everywhere
+    inst = generate_instance(3, seed=0)
+    for seed in (1.5, "abc", True):
+        with pytest.raises(ValueError, match="seed must be a whole number"):
+            solve(inst, variant(name), budget=5, seed=seed)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        solve(inst, variant(name), budget=5, seed=-1)
+
+
+@pytest.mark.parametrize("name,digest", [
+    ("baseline", "ca8b63e762e924f6"), ("v1", "41cd8436e230f43c"),
+    ("v2", "5bd44c0f82fafdfd")])
+def test_a_derived_seed_solves_as_before(name, digest):
+    # derive_seed gives 63-bit seeds, which the seed check must take
+    # exactly; the digest is of the final states and adopted energies
+    seed = derive_seed(42, name, 6, 0)
+    res = solve(generate_instance(6, seed), variant(name), budget=40,
+                seed=seed)
+    h = hashlib.sha256(res.final_states.tobytes())
+    h.update(np.array(res.adopted_energies).tobytes())
+    assert h.hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (4, 10)],
+                         ids=["position", "unconstrained"])
+def test_solve_rejects_an_instance_edited_to_non_finite(cell):
+    # a NaN written after construction used to end a baseline run with
+    # success and NaN states when it sat where no constraint reads it, to
+    # be overwritten by v2's grid when it sat in a position, and to raise
+    # from the graph of v1 and v2 mid-run
+    inst = generate_instance(5, 1)
+    inst.initial_states[cell] = np.nan
+    for name in PRESETS:
+        with pytest.raises(ValueError, match="states must be finite"):
+            solve(inst, variant(name), budget=20, seed=1)
+
+
 def test_solve_takes_a_float_budget_with_a_whole_value():
     inst = generate_instance(3, seed=0)
     for name in ("baseline", "v2"):
@@ -388,7 +428,7 @@ def test_non_finite_start_energy_rejected():
     ref = np.zeros(64)
     ref[0] = 1e200
     cs = ConstraintSet.build(n_nodes=2, anchors={0: ref})
-    inst = ProblemInstance(n=2, initial_states=states, constraints=cs)
+    inst = ProblemInstance(initial_states=states, constraints=cs)
     for name in PRESETS:
         with pytest.raises(ValueError, match="start energy"):
             solve(inst, variant(name), budget=10, seed=0)

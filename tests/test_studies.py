@@ -299,6 +299,34 @@ def test_spec_takes_a_master_seed_with_a_whole_value(tmp_path):
         assert '"master_seed": 42\n' in (tmp_path / "spec.json").read_text()
 
 
+def test_spec_keeps_a_master_seed_past_the_float_range(tmp_path):
+    # a master seed used to pass through a float, so 2**62 + 1 ran, and was
+    # written to spec.json, as 2**62
+    seed = 2**62 + 1
+    spec = StudySpec(study="seeds", master_seed=seed)
+    assert spec.master_seed == seed
+    spec.save(tmp_path / "spec.json")
+    assert StudySpec.load(tmp_path / "spec.json").master_seed == seed
+
+
+def test_spec_load_rejects_a_repeated_key(tmp_path):
+    # json keeps a repeated key's last value, so this loaded as 20 seeds
+    path = tmp_path / "spec.json"
+    path.write_text('{"study": "seeds", "n_seeds": 3, "n_seeds": 20}')
+    with pytest.raises(ValueError, match="key 'n_seeds' appears twice"):
+        StudySpec.load(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("sizes", "48"), ("sizes", 6), ("variants", "v2")])
+def test_spec_rejects_sizes_or_variants_that_are_not_an_array(field, value):
+    # only a loaded spec.json used to be checked: built in Python, the
+    # string "48" ran sizes (4, 8) and "v2" the variants "v" and "2"
+    study = "scaling" if field == "sizes" else "seeds"
+    with pytest.raises(ValueError, match=f"{field} must be an array"):
+        StudySpec(study=study, **{field: value})
+
+
 def stability_seeds(monkeypatch, master_seed):
     """The instance seeds a stability study at master_seed draws."""
     seeds = []
