@@ -13,9 +13,13 @@ One gradient pass computes the residuals once and the analytic gradient of
 the weighted total from them; loss_components adds the family losses and
 the weighted total from the same residuals, total_energy is a view of it,
 and loss_gradient runs the gradient pass alone. One code path takes one
-(n, 64) state array with (3,) weights, adding no batch axis, or a batch
-(P, n, 64) of them with (P, 3) weights. A batch row gives the same floats,
+(n, d) state array with (3,) weights, adding no batch axis, or a batch
+(P, n, d) of them with (P, 3) weights. A batch row gives the same floats,
 bit for bit, as the call on that row alone.
+
+A set's state width d is the width of its anchor references: 64 for a set
+from build, fewer for the set a solve restricts to the state columns it
+sweeps, positions first (components 0-2 at any width).
 """
 from __future__ import annotations
 
@@ -70,13 +74,15 @@ def weight_rows(weights, lead):
 DEFAULT_WEIGHTS = LossWeights(1.0, 10.0, 2.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class ConstraintSet:
-    """Compiled constraint arrays over n_nodes states.
+    """Compiled constraint arrays over n_nodes states of width state_dim.
 
-    anchors: {node id: reference state (64,)}
+    anchors: {node id: reference state (state_dim,)}
     separations: rows (a, b, min_dist)
     orderings: rows (a, b, axis, margin) meaning pos(a)[axis] + margin <= pos(b)[axis]
+
+    Two sets compare by identity: == on their arrays has no one answer.
     """
 
     n_nodes: int
@@ -101,15 +107,18 @@ class ConstraintSet:
         anchors: {id: 64-vector}; separations: [(a, b, min_dist)];
         orderings: [(a, b, axis, margin)]. Raises ConstraintError when
         n_nodes, a node id or an axis is not a whole number or is out of
-        range, or a row does not hold that many numbers.
+        range, a row does not hold that many numbers, or a reference does
+        not hold 64.
         """
         n = whole(n_nodes, "n_nodes", ConstraintError)
         anchors = sorted(((whole(k, "anchor id", ConstraintError), v)
                           for k, v in (anchors or {}).items()),
                          key=lambda kv: kv[0])
         ids = np.array([k for k, _ in anchors], dtype=float)
-        refs = (np.array([np.asarray(v, dtype=float) for _, v in anchors])
-                if anchors else np.empty((0, STATE_DIM)))
+        refs = [np.asarray(v, dtype=float) for _, v in anchors]
+        if any(r.shape != (STATE_DIM,) for r in refs):
+            raise ConstraintError("anchor reference shape mismatch")
+        refs = np.array(refs).reshape(-1, STATE_DIM)
         sep = _table(separations or [], 3, "separation")
         orde = _table(orderings or [], 4, "ordering")
         # checked as floats: an id too large for an int must not be cast
@@ -130,7 +139,9 @@ class ConstraintSet:
         counts = np.bincount(self.anchor_ids, minlength=1)
         if counts.max() > 1:
             raise ConstraintError(f"node {counts.argmax()} has two anchors")
-        if self.anchor_refs.shape != (self.anchor_ids.size, STATE_DIM):
+        refs = self.anchor_refs
+        if refs.ndim != 2 or len(refs) != self.anchor_ids.size \
+                or refs.shape[1] < POSITION_DIM:
             raise ConstraintError("anchor reference shape mismatch")
         if np.any(self.sep_a == self.sep_b) or np.any(self.ord_a == self.ord_b):
             raise ConstraintError("constraints must relate two distinct nodes")
@@ -144,11 +155,16 @@ class ConstraintSet:
         if np.any(self.ord_margin < 0):
             raise ConstraintError("ordering margin must be non-negative")
 
+    @property
+    def state_dim(self):
+        """Components per node state: the width of the anchor references."""
+        return self.anchor_refs.shape[1]
+
     @cached_property
     def _anchor_cells(self):
-        """Flat (node, component) cells of the anchored states, (A * 64,)."""
-        return (self.anchor_ids[:, None] * STATE_DIM
-                + np.arange(STATE_DIM)).ravel()
+        """Flat (node, component) cells of the anchored states, (A * d,)."""
+        d = self.state_dim
+        return (self.anchor_ids[:, None] * d + np.arange(d)).ravel()
 
     def _cells(self, p):
         """(anchor cells, ordering cells) of a flat batch of p rows, each
@@ -159,7 +175,7 @@ class ConstraintSet:
         if p == 1:
             return self._anchor_cells, self._ordering_cells
         if self._cell_table is None or len(self._cell_table[0]) < p:
-            size = self.n_nodes * STATE_DIM
+            size = self.n_nodes * self.state_dim
             offset = np.arange(0, p * size, size)[:, None]
             self._cell_table = (offset + self._anchor_cells,
                                 offset + self._ordering_cells)
@@ -170,12 +186,13 @@ class ConstraintSet:
     def _separation_cells(self):
         """Flat cells of the pair positions, (2, S, 3): a ends, then b ends."""
         pos = np.arange(POSITION_DIM)
-        return np.stack((self.sep_a, self.sep_b))[..., None] * STATE_DIM + pos
+        return (np.stack((self.sep_a, self.sep_b))[..., None]
+                * self.state_dim + pos)
 
     @cached_property
     def _ordering_cells(self):
         """Flat cells of the ordered coordinates: a ends, then b ends."""
-        return (np.concatenate((self.ord_a, self.ord_b)) * STATE_DIM
+        return (np.concatenate((self.ord_a, self.ord_b)) * self.state_dim
                 + np.tile(self.ord_axis, 2))
 
     @property
@@ -260,26 +277,26 @@ class LossBreakdown:
 
 
 def _states(states, cs):
-    """C-contiguous float view of one (n, 64) state array or a batch
-    (P, n, 64) of them."""
+    """C-contiguous float view of one (n, d) state array or a batch
+    (P, n, d) of them, d the set's state width."""
     s = np.ascontiguousarray(states, dtype=float)
-    if s.ndim not in (2, 3) or s.shape[-2:] != (cs.n_nodes, STATE_DIM):
+    if s.ndim not in (2, 3) or s.shape[-2:] != (cs.n_nodes, cs.state_dim):
         raise ConstraintError(
-            f"states must be ({cs.n_nodes}, {STATE_DIM}) or a batch of them, "
-            f"got {np.shape(states)}")
+            f"states must be ({cs.n_nodes}, {cs.state_dim}) or a batch of "
+            f"them, got {np.shape(states)}")
     return s
 
 
 def row_sums(x):
-    """Sum over the last two axes of a C-contiguous (n, 64) array, or of
-    each row of a (P, n, 64) batch, summed pairwise as np.sum sums it."""
+    """Sum over the last two axes of a C-contiguous (n, d) array, or of
+    each row of a (P, n, d) batch, summed pairwise as np.sum sums it."""
     return np.add.reduce(x.reshape(x.shape[:-2] + (-1,)), axis=-1)
 
 
 def _separation_residuals(flat, cs):
     """Penetration depth phi = max(0, min_dist - |pos(a) - pos(b)|) per pair.
 
-    flat is one (n * 64,) state or a (P, n * 64) batch; returns phi
+    flat is one (n * d,) state or a (P, n * d) batch; returns phi
     (..., S), diff (..., S, 3) and dist (..., S).
     """
     ends = flat.take(cs._separation_cells, axis=-1)
@@ -305,12 +322,12 @@ def _ordering_residuals(flat, cs):
 
 
 def _gradient(s, cs, norm, w):
-    """Gradient of the weighted total at one (n, 64) state under (3,)
-    weights, or at a (P, n, 64) batch under (P, 3) weights, with the
+    """Gradient of the weighted total at one (n, d) state under (3,)
+    weights, or at a (P, n, d) batch under (P, 3) weights, with the
     residuals it is built from.
 
     Returns grad, shaped like s, and (resid, phi, psi): the anchor residuals
-    (..., A * 64), the separation depths (..., S) and the ordering
+    (..., A * d), the separation depths (..., S) and the ordering
     violations (..., O), which the family losses square and sum.
 
     Hinge terms contribute zero exactly at their kink (subgradient choice);
@@ -364,7 +381,7 @@ def loss_components(states, cs, norm=MSE, weights=None):
 
     weights=None means unit weights. For one state array the loss fields
     are numbers; for a batch they are (P,) arrays, weights may be (P, 3)
-    rows, and grad is (P, n, 64).
+    rows, and grad is (P, n, d).
     """
     s = _states(states, cs)
     w = weight_rows(np.ones(3) if weights is None else weights, s.shape[:-2])
@@ -402,9 +419,9 @@ class ViolationStats:
 
 def violation_stats(states, cs):
     """Mean and max residuals over the inequality families at one state."""
-    if np.shape(states) != (cs.n_nodes, STATE_DIM):
+    if np.shape(states) != (cs.n_nodes, cs.state_dim):
         raise ConstraintError(f"states must be one ({cs.n_nodes}, "
-                              f"{STATE_DIM}) array, got {np.shape(states)}")
+                              f"{cs.state_dim}) array, got {np.shape(states)}")
     flat = np.asarray(states, dtype=float).reshape(-1)
     phi = _separation_residuals(flat, cs)[0]
     psi = _ordering_residuals(flat, cs)

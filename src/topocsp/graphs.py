@@ -4,10 +4,12 @@ A node state is a 64-vector split into bound (16), form (32) and intent (16)
 blocks. Edges carry affinity weights derived from cosine similarity of the
 endpoint states, mapped to (0, 1] with a small positive floor. A graph is
 its dense weight matrix, positive exactly on the edges. The solver builds
-the complete graph, over one state array or a batch (P, n, 64) of them:
+the complete graph, over one state array or a batch (P, n, d) of them:
 one (P, n, n) weight matrix, and knows that every node's degree is
-n - 1. SemanticGraph also holds any other weight matrix built by hand,
-whose degrees are counted from it.
+n - 1. The states may hold only d of each node's columns, with the Gram
+matrix of the others given as a constant: the cosines are those of the
+whole states. SemanticGraph also holds any other weight matrix built by
+hand, whose degrees are counted from it.
 """
 from __future__ import annotations
 
@@ -42,12 +44,22 @@ def row_norms(x):
     return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
-def pairwise_weights(states):
-    """(..., n, n) matrix of edge weights for all node pairs, zero diagonal."""
+def pairwise_weights(states, frozen_gram=0.0):
+    """(..., n, n) matrix of edge weights for all node pairs, zero diagonal.
+
+    The states (..., n, d) hold d columns of each node's state, and
+    frozen_gram, (n, n), is the Gram matrix of the columns they leave out,
+    0.0 when they hold them all. Their sum is the Gram matrix of the whole
+    states, whose diagonal holds the squared norms the cosines divide by.
+    """
     states = np.asarray(states, dtype=float)
-    norms = row_norms(states)
-    unit = states / np.maximum(norms, _NORM_FLOOR)[..., None]
-    w = unit @ unit.swapaxes(-1, -2)
+    gram = states @ states.swapaxes(-1, -2)
+    gram += frozen_gram
+    n = gram.shape[-1]
+    norms = np.sqrt(gram.reshape(gram.shape[:-2] + (n * n,))[..., ::n + 1])
+    inv = 1.0 / np.maximum(norms, _NORM_FLOOR)
+    # one product per pair, so the weights stay as symmetric as the Gram
+    w = np.multiply(gram, inv[..., :, None] * inv[..., None, :], out=gram)
     w += 1.0
     w /= 2.0
     np.maximum(w, WEIGHT_FLOOR, out=w)
@@ -56,7 +68,6 @@ def pairwise_weights(states):
         bad = norms < _NORM_FLOOR
         w[bad] = WEIGHT_FLOOR
         w.swapaxes(-1, -2)[bad] = WEIGHT_FLOOR
-    n = w.shape[-1]
     w.reshape(w.shape[:-2] + (n * n,))[..., ::n + 1] = 0.0  # the diagonal
     return w
 
@@ -102,18 +113,19 @@ def check_finite(states):
         raise ValueError("states must be finite")
 
 
-def build_graph(states):
-    """The complete SemanticGraph over one (n, 64) state array, or over a
-    batch (P, n, 64) of them. Its degrees are fixed at n - 1, so its
-    weights must not be edited."""
+def build_graph(states, frozen_gram=0.0):
+    """The complete SemanticGraph over one (n, d) state array, or over a
+    batch (P, n, d) of them, with frozen_gram the Gram matrix of the
+    columns they leave out (pairwise_weights). Its degrees are fixed at
+    n - 1, so its weights must not be edited."""
     states = np.asarray(states, dtype=float)
-    if states.ndim not in (2, 3) or states.shape[-1] != STATE_DIM:
-        raise ValueError(f"states must be (n, {STATE_DIM}) or a batch of them")
+    if states.ndim not in (2, 3):
+        raise ValueError("states must be (n, d) or a batch of them")
     n = states.shape[-2]
     if n < 1:
         raise ValueError("need at least one state")
     check_finite(states)
-    graph = SemanticGraph(weights=pairwise_weights(states))
+    graph = SemanticGraph(weights=pairwise_weights(states, frozen_gram))
     if n > 1:
         # every off-diagonal weight is at least WEIGHT_FLOOR > 0
         object.__setattr__(graph, "_degree", float(n - 1))

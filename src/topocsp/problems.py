@@ -25,15 +25,18 @@ ANCHOR_FRACTION = 0.5
 OFF_SCALE = 0.1
 
 
-@dataclass
+@dataclass(eq=False)
 class ProblemInstance:
-    """Start states, a float64 (n, 64) array, and their constraint set."""
+    """Start states, a float64 (n, 64) array, and their constraint set, over
+    64-d states. Two instances compare by identity."""
 
     initial_states: np.ndarray
     constraints: ConstraintSet
 
     def __post_init__(self):
         self.initial_states = np.asarray(self.initial_states, dtype=float)
+        if self.constraints.state_dim != STATE_DIM:
+            raise ValueError(f"constraints must be over {STATE_DIM}-d states")
         if self.initial_states.shape != (self.n, STATE_DIM):
             raise ValueError(f"states must be ({self.n}, {STATE_DIM})")
         check_finite(self.initial_states)

@@ -23,8 +23,8 @@ stops when the driving energy falls below tau or after t_max iterations.
 alpha = 0.01, tau = 1e-6 and the bounds [-1, 1] are constants of the
 loop.
 
-The loop runs one (n, 64) state array, with (3,) loss weights and one
-beta, or a batch (P, n, 64) of them, with (P, 3) weights and (P,) beta, on
+The loop runs one (n, d) state array, with (3,) loss weights and one
+beta, or a batch (P, n, d) of them, with (P, 3) weights and (P,) beta, on
 one code path: one search generation is one call, and a batch of one row
 runs as that row, with no batch axis. Each row keeps its own course, and
 its trace has one row per sweep it ran. It stops at tau, and at a fixed
@@ -45,6 +45,17 @@ final_grad is the gradient at its final states, which a next call from
 those states under the same weights can start from. A call of k sweeps
 thus evaluates the loss k + 1 times, or k times with a carried start
 gradient, plus k more for the line search's secant.
+
+Every operator here is width-generic: d is the constraint set's state
+width. A cell whose gradient is zero and that lies within the bounds never
+moves, so the solver sweeps only the state columns that can: the
+positions, the columns where an anchored node's start differs from its
+reference, and those holding a cell out of bounds, three columns of 64 on
+a generated instance. It gathers them once per solve, with the constraint
+set restricted to them and the Gram matrix of the other columns, which the
+cosine weights add as a constant (frozen_gram), and writes them back into
+the whole states once, at the end. A call on whole (n, 64) states, with no
+frozen Gram, is the d = 64 case of the same code.
 """
 from __future__ import annotations
 
@@ -96,7 +107,7 @@ class ProjectionTrace:
     counts the sweeps the row was swept in: its rows, plus one when its
     line-search step went non-finite, a sweep that leaves no row. failure
     says why a run diverged, or None.
-    final_grad is the loss gradient at the final states, (n, 64): a next
+    final_grad is the loss gradient at the final states, (n, d): a next
     call from those states under the same weights can start from it. It is
     None for a run that diverged.
     """
@@ -134,14 +145,16 @@ def grad_stats(states, cs, weights, norm):
     return _norm_stats(C.row_norms(C.loss_gradient(states, cs, weights, norm)))
 
 
-def sweep_once(states, cs, weights, beta, cfg, grad=None):
+def sweep_once(states, cs, weights, beta, cfg, grad=None, frozen_gram=0.0):
     """One Jacobi sweep; returns (new_states, stats dict).
 
     Exposed separately so update maps can be probed at a frozen state. grad
     is the loss gradient at `states` under `weights`, computed here when
-    omitted; the gradient norms in stats are its norms. It sweeps one
-    (n, 64) array under one LossWeights or (3,) weights and one beta, or a
-    batch (P, n, 64) under weights (P, 3) or one LossWeights and beta (P,)
+    omitted; the gradient norms in stats are its norms. frozen_gram is the
+    Gram matrix of the state columns the states leave out, for the
+    curvature's weights (graphs.pairwise_weights). It sweeps one
+    (n, d) array under one LossWeights or (3,) weights and one beta, or a
+    batch (P, n, d) under weights (P, 3) or one LossWeights and beta (P,)
     or one number. stats holds grad_max and grad_mean and the masks `moved`
     (some node stepped) and `diverged` (the line-search step was non-finite
     at a moving node; the row comes back unchanged): numbers for one array,
@@ -169,7 +182,7 @@ def sweep_once(states, cs, weights, beta, cfg, grad=None):
         clipped = grad * scale[..., None]
     rate = cfg.alpha
     if cfg.use_curvature:
-        eta, _ = node_step_scales(build_graph(s))
+        eta, _ = node_step_scales(build_graph(s, frozen_gram))
         rate = cfg.alpha * eta[..., None]
     step = rate * clipped
     if cfg.use_delta:
@@ -203,13 +216,14 @@ def _secant_length(s, grad, step, cs, weights, norm):
     return np.divide(num, den, out=np.ones_like(den), where=den > 0)
 
 
-def project_states(states, cs, weights, beta, cfg, grad=None):
+def project_states(states, cs, weights, beta, cfg, grad=None,
+                   frozen_gram=0.0):
     """Run the projection loop.
 
-    On one (n, 64) array with one LossWeights and beta, returns (final
-    states, ProjectionTrace); on a batch (P, n, 64) with weights (P, 3) or
+    On one (n, d) array with one LossWeights and beta, returns (final
+    states, ProjectionTrace); on a batch (P, n, d) with weights (P, 3) or
     one LossWeights and beta (P,) or one number, returns (final states
-    (P, n, 64), list of P traces). A row whose energy or line-search step
+    (P, n, d), list of P traces). A row whose energy or line-search step
     goes non-finite gets NaN final states and a trace whose failure says
     why, and the other rows go on; the loop never raises for it. Start
     states that are not all finite raise ValueError, before any sweep. One
@@ -219,6 +233,7 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     under the weights, as a previous call's final_grad gives it; it is
     evaluated here when omitted. The loop trusts a given gradient, and with
     the right one the run is the same, bit for bit, as without it.
+    frozen_gram is sweep_once's.
     """
     s = np.array(states, dtype=float, order="C")
     check_finite(s)
@@ -242,7 +257,7 @@ def project_states(states, cs, weights, beta, cfg, grad=None):
     grad = np.reshape(grad, cur.shape)
     for t in range(t_max):
         starts[t, sel] = cur
-        new, st = sweep_once(cur, cs, w[sel], b[sel], cfg, grad)
+        new, st = sweep_once(cur, cs, w[sel], b[sel], cfg, grad, frozen_gram)
         # one evaluation gives this row's losses and the next sweep's gradient
         bd = C.loss_components(new, cs, cfg.norm, w[sel])
         grad = bd.grad

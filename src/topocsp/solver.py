@@ -172,22 +172,29 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
     the variant, when the budget is not a whole number of at least 1, the
     seed not one of at least 0, a start state or the start energy not
     finite.
+
+    The run sweeps only the state columns that can move (live_columns),
+    gathered once here, under the constraint set restricted to them; its
+    final and recorded states are written back into the full (n, 64)
+    start states.
     """
     budget = C.whole(budget, "budget", least=1)
     seed = C.whole(seed, "seed", least=0)
     t0 = time.perf_counter()
-    cs = inst.constraints
     ref = C.DEFAULT_WEIGHTS
     cfg = _projection_config(vc)
 
-    states = np.array(inst.initial_states, dtype=float, copy=True)
-    check_finite(states)  # before the grid can overwrite a bad position
+    full = np.array(inst.initial_states, dtype=float, copy=True)
+    check_finite(full)  # before the grid can overwrite a bad position
     if vc.use_physics_init:
         try:
-            states[:, :C.POSITION_DIM] = physics_aware_init(inst.n, seed,
-                                                            inst.min_sep)
+            full[:, :C.POSITION_DIM] = physics_aware_init(inst.n, seed,
+                                                          inst.min_sep)
         except InfeasibleInitError:
             pass  # the grid cannot honour min_sep: keep the instance's start
+
+    cols, cs, frozen_gram = live_columns(full, inst.constraints, cfg)
+    states = full[:, cols]
 
     start = C.loss_components(states, cs, cfg.norm, ref)
     e_curr = start.l_total
@@ -230,7 +237,7 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         outs, traces = project_states(
             batch, cs, np.array([lam for lam, _ in params]),
             np.array([beta for _, beta in params]), call,
-            None if search else grad)
+            None if search else grad, frozen_gram)
         sweeps_evaluated += sum(tr.sweeps_evaluated for tr in traces)
         # each candidate scores its last row's reference-weighted energy, so
         # that candidates compare; a diverged one scores +inf and ranks last
@@ -295,6 +302,8 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         **{f: np.concatenate([getattr(tr, f) for tr in adopted])
            for f in ROW_FIELDS + ("start_states",)},
         sweeps_evaluated=sweeps_evaluated, failure=failure)
+    trace.start_states = _write_columns(full, cols, trace.start_states)
+    best_states = _write_columns(full, cols, best_states)
     final_energy = float(best_energy)
     return SolveResult(
         final_states=best_states,
@@ -303,13 +312,41 @@ def solve(inst, vc, budget=DEFAULT_BUDGET, seed=0, record_states=False):
         wall_time=time.perf_counter() - t0,
         success=failure is None and final_energy < C.SUCCESS_THRESHOLD,
         trace=trace,
-        violations=C.violation_stats(best_states, cs),
+        violations=C.violation_stats(best_states, inst.constraints),
         stopped_by=stopped_by,
         energy_increase_events=events,
         guard_triggers=guard_triggers,
         adopted_energies=adopted_energies,
         adopted_params=adopted_params,
     )
+
+
+def live_columns(states, cs, cfg):
+    """The state columns a run from these start states can move, the set
+    restricted to them and the Gram matrix of the other columns.
+
+    A cell with a zero gradient that lies within cfg's bounds never moves
+    (projection.py). The columns that can move are the positions, those
+    where an anchored node's start differs from its reference and those
+    holding a cell out of bounds; on a generated instance that is the
+    three positions.
+    """
+    lo, hi = cfg.state_clip
+    live = ((states[cs.anchor_ids] != cs.anchor_refs).any(axis=0)
+            | ((states < lo) | (states > hi)).any(axis=0))
+    live[:C.POSITION_DIM] = True
+    cols = np.flatnonzero(live)
+    frozen = states[:, ~live]
+    return (cols, replace(cs, anchor_refs=cs.anchor_refs[:, cols]),
+            frozen @ frozen.T)
+
+
+def _write_columns(full, cols, part):
+    """Copies of the full states, one per leading row of part, with part
+    written into their columns cols."""
+    out = np.array(np.broadcast_to(full, part.shape[:-1] + full.shape[-1:]))
+    out[..., cols] = part
+    return out
 
 
 def update_map_jacobian(states, cs, weights, beta, cfg, node):

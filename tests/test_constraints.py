@@ -491,3 +491,33 @@ def test_loss_bits_pinned(name):
     sets, states, batch, weights = pinned_loss_sets()
     assert loss_digest(sets[name], states, batch, weights) == \
         PINNED_LOSS_DIGESTS[name]
+
+
+@pytest.mark.parametrize("norm", [MSE, SSE])
+def test_a_set_restricted_to_some_columns_is_an_ordinary_set(rng, norm):
+    # the state width is the anchor references' width: the set restricted
+    # to the positions and two more columns reads the gathered states, and
+    # each cell's gradient sums its terms in the order the full set does
+    cs = random_constraint_set(rng, 6)
+    states = random_states(rng, 6)
+    cols = np.array([0, 1, 2, 9, 40])
+    narrow = dataclasses.replace(cs, anchor_refs=cs.anchor_refs[:, cols])
+    assert narrow.state_dim == 5
+    full = loss_components(states, cs, norm, DEFAULT_WEIGHTS)
+    part = loss_components(states[:, cols], narrow, norm, DEFAULT_WEIGHTS)
+    assert part.grad.tobytes() == full.grad[:, cols].tobytes()
+    assert (part.l_phys, part.l_logic) == (full.l_phys, full.l_logic)
+    resid = states[cs.anchor_ids][:, cols] - narrow.anchor_refs
+    assert part.l_data == pytest.approx(
+        (resid ** 2).sum() / cs.divisors(norm)[0], rel=1e-12)
+    with pytest.raises(ConstraintError, match=r"must be \(6, 5\)"):
+        loss_components(states, narrow)
+
+
+def test_build_rejects_a_reference_that_is_not_64_long():
+    for ref in (np.zeros(63), np.zeros((1, 64))):
+        with pytest.raises(ConstraintError, match="shape mismatch"):
+            ConstraintSet.build(2, anchors={0: ref})
+    with pytest.raises(ConstraintError, match="shape mismatch"):
+        ConstraintSet(n_nodes=2, anchor_ids=np.array([0]),
+                      anchor_refs=np.zeros((1, 2)))

@@ -199,3 +199,21 @@ def test_instance_from_nested_lists_keeps_its_checked_array(tmp_path):
     built.save(tmp_path / "inst.json")
     loaded = ProblemInstance.load(tmp_path / "inst.json")
     assert loaded.initial_states.tobytes() == inst.initial_states.tobytes()
+
+
+def test_instances_and_sets_compare_by_identity():
+    # the generated __eq__ compared the array fields as a tuple and raised
+    # ValueError on two distinct objects
+    a, b = generate_instance(4, 0), generate_instance(4, 0)
+    assert a == a and a != b
+    assert a.constraints == a.constraints and a.constraints != b.constraints
+
+
+def test_instance_rejects_a_set_over_other_state_widths():
+    # a set restricted to some state columns is an ordinary set, but an
+    # instance holds full 64-d states
+    inst = generate_instance(4, 0)
+    cs = inst.constraints
+    narrow = dataclasses.replace(cs, anchor_refs=cs.anchor_refs[:, :3])
+    with pytest.raises(ValueError, match="over 64-d states"):
+        ProblemInstance(initial_states=inst.initial_states, constraints=narrow)

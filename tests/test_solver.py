@@ -15,9 +15,9 @@ from topocsp.problems import (ProblemInstance, generate_instance,
                               physics_aware_init)
 from topocsp.projection import (ROW_FIELDS, ProjectionConfig,
                                 ProjectionTrace, project_states, sweep_once)
-from topocsp.solver import (GUARD_PATIENCE, PRESETS, VariantConfig, solve,
-                            update_map_jacobian, update_map_spectrum,
-                            variant)
+from topocsp.solver import (GUARD_PATIENCE, PRESETS, VariantConfig,
+                            live_columns, solve, update_map_jacobian,
+                            update_map_spectrum, variant)
 from topocsp.studies import ablation_configs, derive_seed
 
 
@@ -210,8 +210,8 @@ def test_search_starts_from_reference_pair(monkeypatch):
 def test_adopted_params_hold_one_pair_per_row(monkeypatch, name, record):
     calls = []
 
-    def spying(batch, cs, weights, beta, cfg, grad=None):
-        outs, traces = project_states(batch, cs, weights, beta, cfg, grad)
+    def spying(batch, cs, weights, beta, cfg, *rest):
+        outs, traces = project_states(batch, cs, weights, beta, cfg, *rest)
         calls.append((weights, beta, traces))
         return outs, traces
     monkeypatch.setattr(solver, "project_states", spying)
@@ -326,11 +326,14 @@ def test_update_map_spectrum():
 
 def test_update_map_probes_keep_no_cells():
     # the 128-row probe batches read their own scatter cells: the set keeps
-    # the table of the solve's largest batch, not one of 128 rows
+    # the table of its largest batch, not one of 128 rows. The solve sweeps
+    # a set restricted to its live columns and builds no cells on cs
     inst = generate_instance(20, 5)
     cs = inst.constraints
     vc = variant("v2")
     res = solve(inst, vc, seed=5, record_states=True)
+    assert cs._cell_table is None
+    C.loss_gradient(res.trace.start_states[:10], cs)
     kept = [a.shape for a in cs._cell_table]
     assert kept[0][0] < 2 * 64
     update_map_spectrum(res, cs, vc)
@@ -338,12 +341,13 @@ def test_update_map_probes_keep_no_cells():
 
 
 def test_update_map_spectrum_reads_no_cells_of_the_set():
-    # a set that served a recorded solve, its cell table built, gives the
-    # spectrum bits of a fresh set of the same instance
+    # a set that served a batch, its cell table built, gives the spectrum
+    # bits of a fresh set of the same instance
     inst = generate_instance(6, 3)
     vc = variant("v2")
     res = solve(inst, vc, seed=3, record_states=True)
     served = inst.constraints
+    C.loss_gradient(res.trace.start_states[:10], served)
     assert served._cell_table is not None
     fresh = generate_instance(6, 3).constraints
     assert fresh._cell_table is None
@@ -375,8 +379,8 @@ def test_solve_rejects_a_bad_seed_with_every_preset(name):
 
 
 @pytest.mark.parametrize("name,digest", [
-    ("baseline", "ca8b63e762e924f6"), ("v1", "41cd8436e230f43c"),
-    ("v2", "5bd44c0f82fafdfd")])
+    ("baseline", "37fa021a245cd537"), ("v1", "3aa3256c70d04c61"),
+    ("v2", "f0fc59fbd5761862")])
 def test_a_derived_seed_solves_as_before(name, digest):
     # derive_seed gives 63-bit seeds, which the seed check must take
     # exactly; the digest is of the final states and adopted energies
@@ -500,12 +504,14 @@ def test_fixed_run_stops_at_its_fixed_point():
     assert res.steps == res.trace.iterations_run == res.sweeps_evaluated == 34
     assert res.adopted_energies[-1] == res.final_energy
     assert not res.diverged and res.success
-    # a further call, as the run made before it stopped there, would sweep
-    # once and hand back the same states
+    # a further call, as the run made before it stopped there (on the
+    # columns that can move), would sweep once and hand back the same states
     cfg = solver._projection_config(vc)
-    out, trace = project_states(res.final_states, inst.constraints,
-                                DEFAULT_WEIGHTS, solver.DEFAULT_BETA, cfg)
-    assert out.tobytes() == res.final_states.tobytes()
+    cols, cs, gram = live_columns(inst.initial_states, inst.constraints, cfg)
+    live = res.final_states[:, cols]
+    out, trace = project_states(live, cs, DEFAULT_WEIGHTS,
+                                solver.DEFAULT_BETA, cfg, frozen_gram=gram)
+    assert out.tobytes() == live.tobytes()
     assert trace.sweeps_evaluated == 1
     assert np.all(trace.l_total == res.final_energy)
 
@@ -630,8 +636,8 @@ def fail_from_call(monkeypatch, k):
     keeping the first KEPT rows of each trace; returns each call's traces."""
     calls = []
 
-    def failing(batch, cs, weights, beta, cfg, grad=None):
-        outs, traces = project_states(batch, cs, weights, beta, cfg, grad)
+    def failing(batch, cs, weights, beta, cfg, *rest):
+        outs, traces = project_states(batch, cs, weights, beta, cfg, *rest)
         calls.append(traces)
         if len(calls) < k:
             return outs, traces
@@ -694,3 +700,86 @@ def test_search_divergence_keeps_only_adopted_rows(monkeypatch):
     assert np.array_equal(res.trace.l_data, adopted.l_data)
     assert len(res.adopted_energies) == 1
     assert np.isfinite(res.final_states).all()
+
+
+def off_position_instance():
+    """generate_instance(6, 2) with nodes 0 and 1 anchored to references
+    that differ from their start at cells (0, 10) and (1, 40), unanchored
+    node 4's cell (4, 20) at 1.5, out of bounds, and an ordering that node
+    4 violates at any positions, so that it moves in every sweep."""
+    gen = generate_instance(6, 2)
+    cs = gen.constraints
+    anchors = {int(i): ref.copy() for i, ref in zip(cs.anchor_ids,
+                                                    cs.anchor_refs)}
+    anchors[0][10] += 0.3
+    anchors[1][40] -= 0.3
+    assert 4 not in anchors
+    states = gen.initial_states.copy()
+    states[4, 20] = 1.5
+    return ProblemInstance(states, ConstraintSet.build(
+        6, anchors=anchors,
+        separations=list(zip(cs.sep_a, cs.sep_b, cs.sep_dist)),
+        orderings=list(zip(cs.ord_a, cs.ord_b, cs.ord_axis, cs.ord_margin))
+        + [(4, 3, 0, 2.5)]))
+
+
+def bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_solve_moves_only_the_columns_that_can_move(name):
+    # the gathered columns are the positions, the two whose anchor
+    # references differ from the start and the one out of bounds; of the
+    # off-position cells only those three move, the 1.5 cell to the bound
+    inst = off_position_instance()
+    vc = variant(name)
+    cfg = solver._projection_config(vc)
+    cols, cs, _ = live_columns(inst.initial_states, inst.constraints, cfg)
+    assert cols.tolist() == [0, 1, 2, 10, 20, 40]
+    assert cs.state_dim == 6
+    res = solve(inst, vc, budget=30, seed=2)
+    assert res.failure is None
+    moved = bits(res.final_states) != bits(inst.initial_states)
+    assert list(zip(*np.nonzero(moved[:, 3:]))) == [(0, 7), (1, 37), (4, 17)]
+    assert res.final_states[4, 20] == 1.0
+    assert res.final_energy == pytest.approx(
+        total_energy(res.final_states, inst.constraints, norm=cfg.norm),
+        rel=1e-12)
+
+
+def test_baseline_solve_matches_full_width_calls():
+    # the gathered baseline run steps each cell as a full-width call does:
+    # its final states are those of ten-sweep calls on the whole states,
+    # each carrying the last one's final_grad
+    inst = off_position_instance()
+    vc = variant("baseline")
+    res = solve(inst, vc, budget=30, seed=2)
+    assert res.stopped_by == "budget" and res.energy_increase_events == 0
+    cfg = solver._projection_config(vc)
+    states, cs = inst.initial_states, inst.constraints
+    grad = C.loss_gradient(states, cs, DEFAULT_WEIGHTS, cfg.norm)
+    for _ in range(3):
+        states, trace = project_states(states, cs, DEFAULT_WEIGHTS,
+                                       solver.DEFAULT_BETA, cfg, grad)
+        grad = trace.final_grad
+    assert states.tobytes() == res.final_states.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_recorded_start_states_are_full_width(name):
+    # the sweeps ran on the gathered columns; the recorded start states
+    # hold every column, the frozen ones with the start's bits
+    inst = off_position_instance()
+    vc = variant(name)
+    res = solve(inst, vc, budget=30, seed=2, record_states=True)
+    rec = res.trace.start_states
+    assert rec.shape == (res.steps, 6, 64)
+    cols = live_columns(inst.initial_states, inst.constraints,
+                        solver._projection_config(vc))[0]
+    frozen = np.setdiff1d(np.arange(64), cols)
+    kept = rec[..., frozen]
+    start = np.broadcast_to(inst.initial_states[:, frozen], kept.shape)
+    assert bits(kept).tolist() == bits(start).tolist()
+    if not vc.use_physics_init:
+        assert rec[0].tobytes() == inst.initial_states.tobytes()

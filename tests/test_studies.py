@@ -512,16 +512,16 @@ def test_stability_study_values():
     # states or the update-map probes shows here
     out = run_stability_study(n=3, n_seeds=2, budget=20, master_seed=42)
     assert out == {
-        "full": {"grad_mean": 0.18274692830645806,
+        "full": {"grad_mean": 0.18274692830645695,
                  "grad_max": 0.8940983963729158,
                  "divergences": 0, "energy_increase_events": 0,
-                 "lambda_max": 4.001094540942322,
-                 "cond": 21.45733549063378,
-                 "mean_energy": 2.2859634278777022e-07},
+                 "lambda_max": 4.001094540937282,
+                 "cond": 21.45733549081918,
+                 "mean_energy": 2.2859634278764253e-07},
         "no-delta": {"grad_mean": 0.35288924074912836,
                      "grad_max": 0.8940983963729158,
                      "divergences": 0, "energy_increase_events": 0,
-                     "lambda_max": 1.0009022242698606,
+                     "lambda_max": 1.000902224269855,
                      "cond": 1.0289380404289683,
                      "mean_energy": 0.2403244206002287},
     }

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -74,6 +75,38 @@ def test_ab_solve_runs_an_a_a_pair():
     assert {"final_states", "adopted_params"} <= set(compared)
 
 
+def test_ab_solve_gates_final_energies_within_rtol(monkeypatch):
+    # an A/A run in tolerance mode reads no difference; a change whose
+    # final energies read 1e-3 higher, relative, passes within 1e-2, with
+    # final_energy listed as differing, and exits 1 within 1e-4
+    ab = load_tool("ab_solve")
+    same = ab.summarize(ab.run(ROOT, ROOT, "v2-n6", 1, 7, rtol=0.0)[0])["v2"]
+    assert same["max_rel_energy_diff"] == 0.0
+    assert same["energy_higher"] == 0
+    assert same["base_mean_energy"] == same["change_mean_energy"] > 0
+    real = ab.load_topocsp
+
+    def shifted(checkout, name):
+        solver, problems = real(checkout, name)
+        if name != "topocsp_change":
+            return solver, problems
+
+        def higher(*args, **kwargs):
+            res = solver.solve(*args, **kwargs)
+            res.final_energy *= 1.001
+            return res
+        return SimpleNamespace(solve=higher, variant=solver.variant), problems
+    monkeypatch.setattr(ab, "load_topocsp", shifted)
+    pairs, _ = ab.run(ROOT, ROOT, "v2-n6", 1, 7, rtol=1e-2)
+    moved = ab.summarize(pairs)["v2"]
+    assert moved["energy_higher"] == moved["pairs"] == 7
+    assert moved["max_rel_energy_diff"] == pytest.approx(1e-3 / 1.001)
+    assert all(p["differing"] == ["final_energy"] for p in pairs)
+    with pytest.raises(SystemExit) as exited:
+        ab.run(ROOT, ROOT, "v2-n6", 1, 7, rtol=1e-4)
+    assert "more than --rtol 0.0001" in exited.value.code
+
+
 def test_study_digest_records_every_column_ab_solve_compares():
     # the two A/B tools compare one set of names: a digest record holds
     # each of ab_solve's columns, arrays as digests and the rest as they are
@@ -105,6 +138,19 @@ def test_sweep_cost_prints_both_checkouts(capsys, monkeypatch):
     assert out.count("| `v1` |") == 2
     assert out.count("(8, 20, 64):") == 2
     assert "results bitwise equal on every case" in out
+
+
+def test_sweep_cost_compares_within_rtol():
+    # the two-checkout check takes ab_solve's --rtol: entries within it,
+    # relative, agree; without it only the same bits do
+    agree = load_tool("sweep_cost").agree
+    x = np.array([0.25, -0.5, 0.75])
+    near = x * (1.0 + 1e-6)
+    assert agree(x, x.copy(), None)
+    assert not agree(x, near, None)
+    assert agree(x, near, 1e-4)
+    assert not agree(x, x * (1.0 + 1e-3), 1e-4)
+    assert not agree(x, x[:2], 1e-4)
 
 
 def test_study_digest_compare_names_a_record_that_differs(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Time two checkouts' solvers against each other, solve by solve.
 
     python3 tools/ab_solve.py BASE CHANGE --workload fixed-n20 \
-        [--rounds 3] [--seed 1] [--out BENCH_fixed-n20.json]
+        [--rounds 3] [--seed 1] [--rtol R] [--out BENCH_fixed-n20.json]
 
 Imports topocsp from BASE/src and from CHANGE/src under the module names
 topocsp_base and topocsp_change, and the workload table from this
@@ -18,6 +18,15 @@ failure, success, event and guard counts). The script exits 1 at the first
 pair that does not, naming the fields that differ. tools/study_digest.py
 records each solve from the same columns.
 
+With --rtol R, for a change that moves floats by summation order, a pair
+passes when both final energies are finite and agree within R, relative
+to the larger of the two; the script exits 1 at the first pair that does
+not. The other columns are not gated: the record lists which of them
+were equal in every pair and which differed in some pair, and gives per
+variant the largest relative final-energy difference, the pairs where
+the change's final energy reads higher, and each side's mean final
+energy over its pairs.
+
 An A/A run gives one checkout as both BASE and CHANGE; its ratios show
 how far the timing moves with no change in the code, the floor that a
 claimed gain must clear at the same workload and seed.
@@ -25,11 +34,12 @@ claimed gain must clear at the same workload and seed.
 Both versions solve the same panel, built once, in every round, as
 perfbench does. Writes BENCH_<workload>.json (or --out): per variant the
 median over its pairs of the change/base time ratio and the summed times,
-the summed ratio over all pairs, the names compared bitwise, nproc, the
-platform, and each checkout's git commit, whether its tree had uncommitted
-changes, and the sha256 of its package source. Without --out it exits 1,
-before any solve, when BENCH_<workload>.json already exists in the working
-directory, so that a run never silently replaces a committed record.
+the summed ratio over all pairs, the names bitwise equal in every pair and
+those that differed in some pair, nproc, the platform, and each checkout's
+git commit, whether its tree had uncommitted changes, and the sha256 of its
+package source. Without --out it exits 1, before any solve, when
+BENCH_<workload>.json already exists in the working directory, so that a
+run never silently replaces a committed record.
 """
 from __future__ import annotations
 
@@ -140,7 +150,14 @@ def differing(a, b):
     return [k for k in names if not _same(a[k], b[k])], names
 
 
-def run(base, change, workload, rounds, seed):
+def relative_gap(a, b):
+    """|a - b| relative to the larger magnitude, 0 when a == b."""
+    return 0.0 if a == b else abs(a - b) / max(abs(a), abs(b))
+
+
+def run(base, change, workload, rounds, seed, rtol=None):
+    """Every pair of a run; exits 1 at the first pair that fails its gate,
+    bitwise or, with rtol, the final energies'."""
     W = _load("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
     sides = {"base": load_topocsp(base, "topocsp_base"),
              "change": load_topocsp(change, "topocsp_change")}
@@ -167,12 +184,22 @@ def run(base, change, workload, rounds, seed):
                     cols[side] = columns(res)
                     del res
                 bad, compared = differing(cols["base"], cols["change"])
-                if bad:
-                    sys.exit(f"ab_solve: round {rnd}, instance {i} {v}: "
-                             f"{', '.join(bad)} differ")
+                where = f"ab_solve: round {rnd}, instance {i} {v}"
+                e_base, e_change = (float(cols[k]["final_energy"])
+                                    for k in ("base", "change"))
+                gap = relative_gap(e_base, e_change)
+                if rtol is None and bad:
+                    sys.exit(f"{where}: {', '.join(bad)} differ")
+                if rtol is not None and not (
+                        np.isfinite([e_base, e_change]).all() and gap <= rtol):
+                    sys.exit(f"{where}: final energies {e_base!r} and "
+                             f"{e_change!r} differ by {gap:.3g} relative, "
+                             f"more than --rtol {rtol:g}")
                 pairs.append({"round": rnd, "instance": i, "variant": v,
                               "seed": job_seed, **times,
-                              "ratio": times["change"] / times["base"]})
+                              "ratio": times["change"] / times["base"],
+                              "energy_base": e_base,
+                              "energy_change": e_change, "differing": bad})
     return pairs, compared
 
 
@@ -186,7 +213,16 @@ def summarize(pairs):
                   "median_ratio": statistics.median(p["ratio"] for p in mine),
                   "change_lower": sum(p["ratio"] < 1.0 for p in mine),
                   "base_s": base, "change_s": change,
-                  "summed_ratio": change / base}
+                  "summed_ratio": change / base,
+                  "max_rel_energy_diff": max(
+                      relative_gap(p["energy_base"], p["energy_change"])
+                      for p in mine),
+                  "energy_higher": sum(p["energy_change"] > p["energy_base"]
+                                       for p in mine),
+                  "base_mean_energy": statistics.fmean(
+                      p["energy_base"] for p in mine),
+                  "change_mean_energy": statistics.fmean(
+                      p["energy_change"] for p in mine)}
     return out
 
 
@@ -197,15 +233,22 @@ def main(argv=None):
     p.add_argument("--workload", required=True)
     p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--rtol", type=float,
+                   help="gate each pair on its final energies agreeing "
+                        "within this relative tolerance, not on every "
+                        "column's bits")
     p.add_argument("--out", help="JSON file (default BENCH_<workload>.json)")
     args = p.parse_args(argv)
     out = Path(args.out or f"BENCH_{args.workload}.json")
     if args.out is None and out.exists():
         sys.exit(f"ab_solve: {out} exists; give --out to write elsewhere "
                  f"or to replace it")
+    if args.rtol is not None and not args.rtol >= 0:
+        sys.exit("ab_solve: --rtol must be a number >= 0")
     pairs, compared = run(args.base, args.change, args.workload, args.rounds,
-                          args.seed)
+                          args.seed, args.rtol)
     variants = summarize(pairs)
+    differed = sorted({k for p in pairs for k in p["differing"]})
     base = sum(p["base"] for p in pairs)
     change = sum(p["change"] for p in pairs)
     result = {
@@ -214,8 +257,10 @@ def main(argv=None):
         "machine": platform.platform(), "cpu": cpu_model(),
         "python": platform.python_version(), "numpy": np.__version__,
         "base": describe(args.base),
-        "change": describe(args.change), "final_states_equal": True,
-        "bitwise_equal": compared,
+        "change": describe(args.change), "rtol": args.rtol,
+        "final_states_equal": "final_states" not in differed,
+        "bitwise_equal": [k for k in compared if k not in differed],
+        "differing": differed,
         "summed_ratio": change / base, "variants": variants, "pairs": pairs,
     }
     out.write_text(json.dumps(result, indent=1) + "\n")
@@ -223,6 +268,13 @@ def main(argv=None):
         print(f"{v}: median ratio {s['median_ratio']:.3f}, summed "
               f"{s['base_s']:.3f} -> {s['change_s']:.3f} s, lower in "
               f"{s['change_lower']}/{s['pairs']}")
+        if args.rtol is not None:
+            print(f"  final energy: largest relative difference "
+                  f"{s['max_rel_energy_diff']:.3g}, higher in "
+                  f"{s['energy_higher']}/{s['pairs']}, mean "
+                  f"{s['base_mean_energy']!r} -> {s['change_mean_energy']!r}")
+    if differed:
+        print(f"differing in some pair: {', '.join(differed)}")
     print(f"summed ratio {result['summed_ratio']:.3f}; written to {out}")
     return 0
 
